@@ -17,11 +17,16 @@ and the execution *APIs* run the same fixed task batch —
 * overlap (:class:`OverlapExecutor`, execution pipelined with the
   consumer on a background thread).
 
-Two tests are CI gates:
+Four tests are CI gates:
 
 * ``test_streaming_not_slower_than_batch`` — the streaming API exists to
   *remove* buffering, so it must not cost throughput; the job fails if
   streaming is more than 25% slower than batch on the fixed corpus.
+* ``test_wide_probe_digest_batched_speedup`` — bitsliced probe digests
+  of the wide corpus must be at least 8x a scalar ``simulate`` loop.
+* ``test_exhaustive_equality_speedup`` — exhaustive
+  ``functionally_equal`` on 8-line verification pairs must be at least
+  10x a scalar ``simulate`` loop.
 * ``test_wide_probe_cached_vs_cold`` — a warm rerun of a **wide**
   (16–24-line) corpus, keyed by sampled-probe fingerprints, must perform
   **zero oracle queries**; it also writes the per-scheme cache hit-rate
@@ -334,17 +339,19 @@ PROBE_BATCH_MIN_SPEEDUP = 8.0
 def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
     """CI gate: bit-parallel probe digests are >= 8x the scalar path.
 
-    Fingerprints every wide-corpus circuit twice — once with the scalar
-    reference evaluator (``batched=False``), once through the bitsliced
-    ``evaluate_many`` hot path — asserts the digests are byte-identical
+    Fingerprints every wide-corpus circuit through the bitsliced
+    ``simulate_many`` hot path, checks each digest against the digest of
+    the same probe outputs from a scalar ``simulate`` list comprehension
     (batching is an evaluation strategy, never an identity change), and
-    gates on the wall-clock ratio.  The measured figures land in the
-    pytest-benchmark JSON (``extra_info``) that CI uploads, so the
+    gates on the wall-clock ratio of the two.  The measured figures land
+    in the pytest-benchmark JSON (``extra_info``) that CI uploads, so the
     speedup trajectory is tracked over time alongside pairs/sec.
     """
+    from repro.oracles.oracle import FunctionOracle
     from repro.service.fingerprint import (
         FingerprintContext,
         SampledProbeFingerprinter,
+        probe_inputs,
     )
 
     manifest = CorpusManifest.load(wide_corpus / "manifest.json")
@@ -354,22 +361,32 @@ def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
     assert all(target.num_lines >= 16 for target in targets)
 
     ctx = FingerprintContext()
-    scalar = SampledProbeFingerprinter(batched=False)
-    batched = SampledProbeFingerprinter(batched=True)
-
-    # Identity first: the digests must agree on every circuit before any
-    # throughput claim about the batched path means anything.
-    scalar_digests = [scalar.fingerprint(t, ctx).digest for t in targets]
-    batched_digests = [batched.fingerprint(t, ctx).digest for t in targets]
-    assert scalar_digests == batched_digests
+    batched = SampledProbeFingerprinter()
+    probe_sets = [
+        probe_inputs(target.num_lines, batched.probe_count, batched.salt)
+        for target in targets
+    ]
 
     def run_scalar():
-        for target in targets:
-            scalar.fingerprint(target, ctx)
+        return [
+            [target.simulate(value) for value in probes]
+            for target, probes in zip(targets, probe_sets)
+        ]
 
     def run_batched():
         for target in targets:
             batched.fingerprint(target, ctx)
+
+    # Identity first: the digests must agree on every circuit before any
+    # throughput claim about the batched path means anything.
+    for target, probes, outputs in zip(targets, probe_sets, run_scalar()):
+        reference = FunctionOracle(
+            dict(zip(probes, outputs)).__getitem__, target.num_lines
+        )
+        assert (
+            batched.fingerprint(target, ctx).digest
+            == batched.fingerprint(reference, ctx).digest
+        )
 
     # Interleaved best-of sampling: a transient machine slowdown (CPU
     # scaling, a background task) then degrades scalar and batched
@@ -405,4 +422,101 @@ def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
         f"bitsliced probe digests are only {speedup:.1f}x the scalar path "
         f"on the wide corpus (gate: {PROBE_BATCH_MIN_SPEEDUP}x); "
         f"scalar {scalar_time:.4f}s vs batched {batched_time:.4f}s"
+    )
+
+
+#: CI gate: exhaustive ``functionally_equal`` through the bitsliced
+#: equality check must be at least this much faster than a scalar
+#: ``simulate`` loop on the 8-line verification pairs.
+EQUALITY_MIN_SPEEDUP = 10.0
+
+
+@pytest.fixture(scope="module")
+def verification_pairs(tmp_path_factory):
+    """``(reconstruction, C1)`` for every matched pair of an 8-line corpus.
+
+    Each pair is matched once with a fixed seed and its witnesses applied
+    to ``C2`` — exactly the comparison ``verify_match`` makes; pairs the
+    matchers reject (adversarial near-misses) are skipped.
+    """
+    from repro.core.dispatcher import match
+    from repro.core.verify import reconstructed_circuit
+    from repro.exceptions import MatchingError
+
+    root = tmp_path_factory.mktemp("corpus8")
+    manifest = generate_corpus(
+        root, num_lines=8, pairs_per_class=PAIRS_PER_CLASS, seed=CORPUS_SEED
+    )
+    pairs = []
+    for entry in manifest.entries:
+        c1, c2 = load_entry_circuits(entry, root)
+        try:
+            result = match(c1, c2, entry.equivalence, rng=RUN_SEED)
+        except MatchingError:
+            continue
+        pairs.append((reconstructed_circuit(c2, result), c1))
+    return pairs
+
+
+def test_exhaustive_equality_speedup(benchmark, verification_pairs):
+    """CI gate: bitsliced ``functionally_equal`` is >= 10x a scalar loop.
+
+    Compares every verification pair on all ``2**8`` inputs twice — once
+    through ``functionally_equal`` (range-input lanes, no unpack, early
+    exit at the first differing 64-input chunk), once through a local
+    scalar ``simulate`` loop — asserts identical verdicts, and gates on
+    the interleaved best-of wall-clock ratio (recorded in
+    ``extra_info``).
+    """
+    pairs = verification_pairs
+    assert pairs and all(c1.num_lines == 8 for _, c1 in pairs)
+
+    def run_scalar():
+        return [
+            all(
+                mine.simulate(value) == theirs.simulate(value)
+                for value in range(1 << mine.num_lines)
+            )
+            for mine, theirs in pairs
+        ]
+
+    def run_kernel():
+        return [mine.functionally_equal(theirs) for mine, theirs in pairs]
+
+    verdicts = run_kernel()
+    assert verdicts == run_scalar()
+    assert any(verdicts) and not all(verdicts)
+
+    scalar_time = kernel_time = float("inf")
+    for _ in range(5):
+        scalar_time = min(scalar_time, _best_of(1, run_scalar))
+        kernel_time = min(kernel_time, _best_of(1, run_kernel))
+    benchmark.pedantic(run_kernel, rounds=3, iterations=1)
+    speedup = scalar_time / kernel_time
+    benchmark.extra_info["pairs"] = len(pairs)
+    benchmark.extra_info["equal_pairs"] = sum(verdicts)
+    benchmark.extra_info["scalar_seconds"] = round(scalar_time, 6)
+    benchmark.extra_info["kernel_seconds"] = round(kernel_time, 6)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["min_speedup"] = EQUALITY_MIN_SPEEDUP
+
+    emit(
+        "exhaustive equality: scalar loop vs bitsliced (8-line pairs)",
+        format_table(
+            ["path", "pairs", "seconds", "pairs/s"],
+            [
+                (label, len(pairs), f"{seconds:.4f}", f"{len(pairs) / seconds:.1f}")
+                for label, seconds in (
+                    ("scalar", scalar_time),
+                    ("bitsliced", kernel_time),
+                )
+            ],
+        )
+        + f"\nspeedup: {speedup:.1f}x (gate: >= {EQUALITY_MIN_SPEEDUP}x)",
+    )
+    assert speedup >= EQUALITY_MIN_SPEEDUP, (
+        f"bitsliced functionally_equal is only {speedup:.1f}x the scalar "
+        f"loop on the 8-line verification pairs (gate: "
+        f"{EQUALITY_MIN_SPEEDUP}x); scalar {scalar_time:.4f}s vs kernel "
+        f"{kernel_time:.4f}s"
     )

@@ -19,6 +19,7 @@ import itertools
 import random as _random
 from collections.abc import Iterator, Sequence
 
+from repro.circuits.bitslice import simulate_many
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.line_permutation import LinePermutation
 from repro.circuits.random import coerce_rng
@@ -106,7 +107,8 @@ def brute_force_match(
         probe_inputs = [0] + [
             rng.getrandbits(num_lines) for _ in range(probe_count - 1)
         ]
-    probe_expected = [c1.simulate(probe) for probe in probe_inputs]
+    probe_inputs = list(probe_inputs)
+    probe_expected = simulate_many(c1, probe_inputs)
 
     candidates_tried = 0
     for nu_x in _negation_candidates(equivalence.input_condition, num_lines):
@@ -128,10 +130,7 @@ def brute_force_match(
                     candidate = transformed_circuit(
                         c2, nu_x=nu_x, pi_x=pi_x, nu_y=nu_y, pi_y=pi_y
                     )
-                    if any(
-                        candidate.simulate(probe) != expected
-                        for probe, expected in zip(probe_inputs, probe_expected)
-                    ):
+                    if simulate_many(candidate, probe_inputs) != probe_expected:
                         continue
                     if exhaustive_check and not candidate.functionally_equal(c1):
                         continue

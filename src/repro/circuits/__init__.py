@@ -7,9 +7,10 @@ This package provides everything the matching algorithms need from the
   positive/negative controls, plus NOT/CNOT/Toffoli/SWAP/Fredkin helpers.
 * :mod:`repro.circuits.circuit` — :class:`ReversibleCircuit`: a gate list
   with classical simulation, inversion, composition and truth-table export.
-* :mod:`repro.circuits.bitslice` — bit-parallel (64-lane) batch
-  evaluation of MCT/SWAP cascades: the vectorized counterpart of
-  ``simulate``, held byte-identical to it by a differential test harness.
+* :mod:`repro.circuits.bitslice` — bit-parallel (64-lane) evaluation of
+  MCT/SWAP cascades, the one engine behind batches, truth tables and
+  exhaustive equivalence checks; ``simulate`` is its scalar reference,
+  held byte-identical to it by a differential test harness.
 * :mod:`repro.circuits.permutation` — :class:`Permutation` over
   ``range(2**n)``: the functional view of a reversible circuit.
 * :mod:`repro.circuits.line_permutation` — :class:`LinePermutation` over the

@@ -1,12 +1,16 @@
 """Bit-parallel ("bitsliced") evaluation of reversible circuits.
 
-Fingerprinting and matching both reduce to "apply a reversible circuit to
-many inputs", and the scalar path walks Python gate objects one input at a
-time.  This module transposes the problem: up to :data:`LANE_WIDTH` input
-values are packed *per wire* into one Python int used as a vector of
-single-bit lanes (bit ``j`` of the word for line ``i`` is bit ``i`` of input
-``j``), and every gate of the cascade is then applied to all lanes at once
-with a handful of bitwise operations:
+This module is the one engine for evaluating a reversible circuit on more
+than a handful of inputs; :meth:`ReversibleCircuit.simulate
+<repro.circuits.circuit.ReversibleCircuit.simulate>` (gate-object
+``apply``, one input at a time) is the single scalar reference it is held
+to by the differential harness in
+``tests/properties/test_bitslice_differential.py``.
+
+Up to :data:`LANE_WIDTH` input values are packed *per wire* into one
+Python int used as a vector of single-bit lanes (bit ``j`` of the word for
+line ``i`` is bit ``i`` of input ``j``), and every gate of the cascade is
+then applied to all lanes at once with a handful of bitwise operations:
 
 * **NOT** — XOR the target's word with the lane mask;
 * **CNOT / MCT** — AND together the control words (complementing against
@@ -14,24 +18,36 @@ with a handful of bitwise operations:
   into the target's word;
 * **SWAP** — exchange the two line words.
 
-One pass over the gate list therefore evaluates a whole batch of probes
-simultaneously, which is what makes probe digests and the exact matchers'
-query loops cheap (see ``docs/architecture.md``, "Bit-parallel
-evaluation").
+Two input paths feed the lanes:
 
-The scalar path (:meth:`~repro.circuits.circuit.ReversibleCircuit.simulate`,
-gate-object ``apply``) is deliberately left untouched: it is the reference
-implementation this module is held byte-identical to by the differential
-harness in ``tests/properties/test_bitslice_differential.py``.
+* **Arbitrary batches** (:func:`simulate_many`, :func:`evaluate_compiled`)
+  transpose each 64-value chunk into lane words and back.
+* **The whole domain** (:func:`truth_table`, :func:`first_difference`)
+  walks all ``2**n`` inputs in 64-input chunks that need no input
+  transpose: lines 0-5 of chunk ``k`` are six constant lane patterns
+  (masked for ``n < 6``), and line ``i >= 6`` is all-ones or all-zeros
+  according to bit ``i`` of the chunk's first input.  The full table
+  unpacks the output words; the equality check compares two circuits'
+  output words chunk by chunk without unpacking and stops at the first
+  chunk that differs.
+
+Every whole-function question — truth tables, ``is_identity``,
+``functionally_equal``, witness verification, permutation tables for the
+quantum oracles, exact fingerprints — is answered here (see
+``docs/architecture.md``, "Bit-parallel evaluation").
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.gates import Gate, MCTGate, SwapGate
 from repro.exceptions import CircuitError
+
+if TYPE_CHECKING:
+    from repro.circuits.circuit import ReversibleCircuit
 
 __all__ = [
     "LANE_WIDTH",
@@ -42,6 +58,9 @@ __all__ = [
     "apply_compiled",
     "evaluate_compiled",
     "simulate_many",
+    "range_words",
+    "truth_table",
+    "first_difference",
 ]
 
 #: Lanes per machine word.  Python ints are arbitrary precision, but 64
@@ -58,8 +77,10 @@ def supports(gates: Iterable[Gate]) -> bool:
     """Whether every gate in ``gates`` has a bitsliced implementation.
 
     MCT (any control count / polarity) and SWAP cover everything the
-    substrate produces; user-defined :class:`~repro.circuits.gates.Gate`
-    subclasses fall back to the scalar path at the call sites.
+    substrate produces; cascades with user-defined
+    :class:`~repro.circuits.gates.Gate` subclasses fall back to the scalar
+    reference (``ReversibleCircuit.truth_table`` and :func:`simulate_many`
+    check this).
     """
     return all(isinstance(gate, (MCTGate, SwapGate)) for gate in gates)
 
@@ -129,34 +150,32 @@ def pack_lanes(values: Sequence[int], num_lines: int) -> list[int]:
                 "little",
             )
         )
-        raw = tile.to_bytes(_TILE_BYTES, "little")
         lines_in_tile = min(num_lines - 8 * tile_start, LANE_WIDTH)
         words.extend(
-            int.from_bytes(raw[8 * line : 8 * line + 8], "little")
-            for line in range(lines_in_tile)
+            struct.unpack_from(
+                f"<{lines_in_tile}Q", tile.to_bytes(_TILE_BYTES, "little")
+            )
         )
     return words
 
 
 def unpack_lanes(words: Sequence[int], num_lines: int, count: int) -> list[int]:
     """Transpose per-line lane words back into ``count`` output values."""
-    values = [0] * count
+    values: list[int] = []
     for tile_index in range(0, num_lines, LANE_WIDTH):
+        rows = words[tile_index : tile_index + LANE_WIDTH]
         tile = _transpose_tile(
-            int.from_bytes(
-                b"".join(
-                    word.to_bytes(8, "little")
-                    for word in words[tile_index : tile_index + LANE_WIDTH]
-                ),
-                "little",
-            )
+            int.from_bytes(struct.pack(f"<{len(rows)}Q", *rows), "little")
         )
-        raw = tile.to_bytes(_TILE_BYTES, "little")
-        shift = tile_index
-        for lane in range(count):
-            chunk = int.from_bytes(raw[8 * lane : 8 * lane + 8], "little")
-            if chunk:
-                values[lane] |= chunk << shift
+        lanes = struct.unpack_from(
+            f"<{count}Q", tile.to_bytes(_TILE_BYTES, "little")
+        )
+        if tile_index:
+            values = [
+                value | lane << tile_index for value, lane in zip(values, lanes)
+            ]
+        else:
+            values = list(lanes)
     return values
 
 
@@ -235,11 +254,12 @@ def simulate_many(
     Exactly equivalent to ``[circuit.simulate(v) for v in values]`` —
     the differential property harness holds the two paths byte-identical —
     but one pass over the gate list serves up to :data:`LANE_WIDTH`
-    inputs.  Inputs are validated with the same error as the scalar path.
+    inputs.  Inputs are validated with the same error as the scalar path;
+    a cascade containing a gate kind without a bitsliced implementation is
+    evaluated by that scalar loop.
 
     Raises:
-        CircuitError: on out-of-range inputs, or when the cascade contains
-            a gate kind without a bitsliced implementation.
+        CircuitError: on out-of-range inputs.
     """
     num_lines = circuit.num_lines
     values = list(values)
@@ -248,5 +268,84 @@ def simulate_many(
             raise CircuitError(
                 f"input {value} does not fit in {num_lines} lines"
             )
+    if not supports(circuit.gates):
+        return [circuit.simulate(value) for value in values]
     ops = compile_gates(circuit.gates)
     return evaluate_compiled(ops, num_lines, values)
+
+
+#: Lane words of lines 0-5 for the 64 consecutive inputs of one chunk:
+#: bit ``j`` of pattern ``i`` is bit ``i`` of ``j``.
+_RANGE_PATTERNS = tuple(
+    sum(1 << lane for lane in range(LANE_WIDTH) if lane >> line & 1)
+    for line in range(6)
+)
+
+
+def range_words(num_lines: int, start: int, lane_mask: int) -> list[int]:
+    """Lane words of the consecutive inputs ``start, start + 1, ...``.
+
+    ``start`` is a multiple of :data:`LANE_WIDTH` and ``lane_mask`` has one
+    bit per input of the chunk.  No transpose is needed: lines 0-5 are the
+    constant :data:`_RANGE_PATTERNS` (masked, for chunks narrower than 64
+    lanes), and every higher line is constant across the chunk, so its word
+    is all-ones or all-zeros by the line's bit of ``start``.
+    """
+    words = [pattern & lane_mask for pattern in _RANGE_PATTERNS[:num_lines]]
+    words.extend(
+        lane_mask if start >> line & 1 else 0 for line in range(6, num_lines)
+    )
+    return words
+
+
+def _domain_chunks(num_lines: int) -> tuple[range, int, int]:
+    """Chunk starts, lanes per chunk and lane mask covering ``2**n`` inputs."""
+    size = 1 << num_lines
+    lanes = min(size, LANE_WIDTH)
+    return range(0, size, LANE_WIDTH), lanes, (1 << lanes) - 1
+
+
+def truth_table(circuit: ReversibleCircuit) -> list[int]:
+    """The full truth table of an MCT/SWAP cascade: entry ``x`` is ``C(x)``.
+
+    Runs the compiled cascade over the range-input chunks and unpacks
+    their output words.  Callers check :func:`supports` first
+    (``ReversibleCircuit.truth_table`` falls back to the scalar loop).
+    """
+    num_lines = circuit.num_lines
+    ops = compile_gates(circuit.gates)
+    starts, lanes, lane_mask = _domain_chunks(num_lines)
+    table: list[int] = []
+    for start in starts:
+        words = range_words(num_lines, start, lane_mask)
+        apply_compiled(ops, words, lane_mask)
+        table.extend(unpack_lanes(words, num_lines, lanes))
+    return table
+
+
+def first_difference(
+    circuit_a: ReversibleCircuit, circuit_b: ReversibleCircuit
+) -> int | None:
+    """The smallest input on which two same-width cascades differ, or None.
+
+    Both circuits run over the same range-input chunks and their output
+    words are compared without unpacking; the walk stops at the first
+    chunk that differs, whose lowest differing lane (the lowest set bit of
+    the OR of the per-line XORs) names the input.  Callers check
+    :func:`supports` for both cascades first.
+    """
+    num_lines = circuit_a.num_lines
+    ops_a = compile_gates(circuit_a.gates)
+    ops_b = compile_gates(circuit_b.gates)
+    starts, _, lane_mask = _domain_chunks(num_lines)
+    for start in starts:
+        words_a = range_words(num_lines, start, lane_mask)
+        words_b = list(words_a)
+        apply_compiled(ops_a, words_a, lane_mask)
+        apply_compiled(ops_b, words_b, lane_mask)
+        if words_a != words_b:
+            differing = 0
+            for word_a, word_b in zip(words_a, words_b):
+                differing |= word_a ^ word_b
+            return start + (differing & -differing).bit_length() - 1
+    return None

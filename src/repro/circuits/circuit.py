@@ -20,6 +20,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import Union
 
 from repro.bits import bits_to_int, int_to_bits
+from repro.circuits import bitslice
 from repro.circuits.gates import Gate, MCTGate, SwapGate
 from repro.exceptions import CircuitError
 
@@ -148,25 +149,45 @@ class ReversibleCircuit:
     def truth_table(self) -> list[int]:
         """The full truth table: entry ``x`` holds ``simulate(x)``.
 
-        Exponential in ``num_lines``; intended for small circuits, tests and
-        the white-box helpers.
+        Computed by the bitsliced range-input kernel
+        (:func:`repro.circuits.bitslice.truth_table`), 64 inputs per pass
+        over the gate list; a cascade containing a gate kind without a
+        bitsliced implementation takes the scalar ``simulate`` loop.
+        Exponential in ``num_lines``.
         """
+        if bitslice.supports(self._gates):
+            return bitslice.truth_table(self)
         return [self.simulate(value) for value in range(1 << self._num_lines)]
+
+    def first_difference(self, other: "ReversibleCircuit") -> int | None:
+        """The smallest input on which the two circuits differ, or ``None``.
+
+        Exhaustive, but the bitsliced comparison stops at the first 64-input
+        chunk that differs; cascades the kernel does not support are
+        compared through their truth tables.
+        """
+        if self._num_lines != other._num_lines:
+            raise CircuitError(
+                "cannot compare circuits with different line counts "
+                f"({self._num_lines} vs {other._num_lines})"
+            )
+        if bitslice.supports(self._gates) and bitslice.supports(other._gates):
+            return bitslice.first_difference(self, other)
+        pairs = zip(self.truth_table(), other.truth_table())
+        return next(
+            (value for value, (mine, theirs) in enumerate(pairs) if mine != theirs),
+            None,
+        )
 
     def is_identity(self) -> bool:
         """Whether the circuit computes the identity function (exhaustive)."""
-        return all(
-            self.simulate(value) == value for value in range(1 << self._num_lines)
-        )
+        return self.first_difference(ReversibleCircuit(self._num_lines)) is None
 
     def functionally_equal(self, other: "ReversibleCircuit") -> bool:
         """Exhaustive functional comparison with another circuit."""
         if self._num_lines != other._num_lines:
             return False
-        return all(
-            self.simulate(value) == other.simulate(value)
-            for value in range(1 << self._num_lines)
-        )
+        return self.first_difference(other) is None
 
     # -- composition and transformation --------------------------------------
     def inverse(self) -> "ReversibleCircuit":

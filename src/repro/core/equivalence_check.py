@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random as _random
 
+from repro.circuits.bitslice import simulate_many
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.random import coerce_rng
 from repro.exceptions import MatchingError
@@ -49,14 +50,12 @@ def find_distinguishing_input(
     """The smallest input on which the circuits differ, or ``None``.
 
     A convenience for debugging failed matches and for counterexample-guided
-    flows; exponential like :func:`exhaustive_equivalent`.
+    flows; exponential like :func:`exhaustive_equivalent`, but the
+    bitsliced comparison stops at the first 64-input chunk that differs.
     """
     if c1.num_lines != c2.num_lines:
         raise MatchingError("circuits must have the same number of lines")
-    for value in range(1 << c1.num_lines):
-        if c1.simulate(value) != c2.simulate(value):
-            return value
-    return None
+    return c1.first_difference(c2)
 
 
 def random_equivalent(
@@ -69,11 +68,8 @@ def random_equivalent(
     if c1.num_lines != c2.num_lines:
         return False
     rng = coerce_rng(rng)
-    for _ in range(samples):
-        probe = rng.getrandbits(c1.num_lines)
-        if c1.simulate(probe) != c2.simulate(probe):
-            return False
-    return True
+    probes = [rng.getrandbits(c1.num_lines) for _ in range(samples)]
+    return simulate_many(c1, probes) == simulate_many(c2, probes)
 
 
 def oracle_equivalent(

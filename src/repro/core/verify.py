@@ -16,6 +16,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 
+from repro.circuits.bitslice import simulate_many
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.line_permutation import LinePermutation
 from repro.circuits.random import (
@@ -157,8 +158,5 @@ def verify_match(
     if exhaustive:
         return reconstruction.functionally_equal(c1)
     rng = coerce_rng(rng)
-    for _ in range(samples):
-        value = rng.getrandbits(c1.num_lines)
-        if reconstruction.simulate(value) != c1.simulate(value):
-            return False
-    return True
+    probes = [rng.getrandbits(c1.num_lines) for _ in range(samples)]
+    return simulate_many(reconstruction, probes) == simulate_many(c1, probes)

@@ -43,8 +43,9 @@ def apply_permutation(permutation: Permutation, state: Statevector) -> Statevect
 def apply_circuit(circuit: ReversibleCircuit, state: Statevector) -> Statevector:
     """Run a reversible circuit on a state vector.
 
-    The circuit is evaluated once per basis state (``2**n`` classical
-    simulations) and the amplitudes are permuted accordingly.
+    The circuit's truth table (one bitsliced pass per 64 basis states)
+    gives the image of every basis state, and the amplitudes are permuted
+    accordingly.
     """
     if circuit.num_lines != state.num_qubits:
         raise QuantumError(
@@ -53,12 +54,7 @@ def apply_circuit(circuit: ReversibleCircuit, state: Statevector) -> Statevector
         )
     old = state.vector
     new = np.empty_like(old)
-    images = np.fromiter(
-        (circuit.simulate(source) for source in range(old.shape[0])),
-        dtype=np.intp,
-        count=old.shape[0],
-    )
-    new[images] = old
+    new[np.asarray(circuit.truth_table(), dtype=np.intp)] = old
     return Statevector(new, state.num_qubits, validate=False)
 
 

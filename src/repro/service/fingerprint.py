@@ -251,17 +251,12 @@ class TruthTableFingerprinter(Fingerprinter):
     scheme = "exact"
     cost_rank = 10
 
-    def __init__(
-        self,
-        width_limit: int = FUNCTIONAL_WIDTH_LIMIT,
-        batched: bool = True,
-    ) -> None:
+    def __init__(self, width_limit: int = FUNCTIONAL_WIDTH_LIMIT) -> None:
         if width_limit <= 0:
             raise FingerprintError(
                 f"width limit must be positive, got {width_limit}"
             )
         self.width_limit = width_limit
-        self.batched = batched
 
     def supports(self, target) -> bool:
         width = _width(target)
@@ -271,19 +266,13 @@ class TruthTableFingerprinter(Fingerprinter):
         if isinstance(target, Permutation):
             return list(target.mapping)
         if isinstance(target, ReversibleCircuit):
-            if self.batched and bitslice.supports(target.gates):
-                return bitslice.simulate_many(
-                    target, range(1 << target.num_lines)
-                )
             return target.truth_table()
         if isinstance(target, QuantumCircuitOracle):
             return list(target.permutation.mapping)
         # Any classical oracle, opaque or not: white-box tabulation without
-        # charging queries.  evaluate_many keeps circuit-backed oracles on
-        # the bitsliced path; peek_table is the scalar reference.
-        if self.batched:
-            return target.evaluate_many(range(1 << target.num_lines))
-        return target.peek_table()
+        # charging queries; evaluate_many keeps circuit-backed oracles on
+        # the bitsliced path.
+        return target.evaluate_many(range(1 << target.num_lines))
 
     def fingerprint(self, target, ctx: FingerprintContext) -> OracleFingerprint:
         table = self._table(target)
@@ -309,9 +298,9 @@ class SampledProbeFingerprinter(Fingerprinter):
     costs ``probe_count`` evaluations, never a ``2**16``-entry tabulation
     (the ``peek_table`` cost cliff).  The whole probe set is evaluated in
     one batched call — bitsliced for circuit-backed targets — and batching
-    is digest-invariant: ``batched=False`` keeps the scalar reference loop
-    and produces byte-identical digests (the differential fingerprint
-    tests hold the two paths together, so ``v2|`` cache keys never fork).
+    is digest-invariant: the differential fingerprint tests hold the
+    digests to a scalar ``simulate``/``peek`` loop, so ``v2|`` cache keys
+    never fork on the evaluation strategy.
     The probe count bounds the work per fingerprint (the "probe budget");
     distinctness is probabilistic, as documented in ``docs/cache-keys.md``.
     """
@@ -324,7 +313,6 @@ class SampledProbeFingerprinter(Fingerprinter):
         self,
         probe_count: int = DEFAULT_PROBE_COUNT,
         salt: str = PROBE_SALT,
-        batched: bool = True,
     ) -> None:
         if probe_count <= 0:
             raise FingerprintError(
@@ -332,32 +320,17 @@ class SampledProbeFingerprinter(Fingerprinter):
             )
         self.probe_count = probe_count
         self.salt = salt
-        self.batched = batched
 
     def supports(self, target) -> bool:
         return _width(target) is not None
 
-    def _evaluator(self, target):
-        if isinstance(target, Permutation):
-            return target
-        if isinstance(target, ReversibleCircuit):
-            return target.simulate
-        if isinstance(target, QuantumCircuitOracle):
-            return target.permutation
-        return target.peek
-
     def _outputs(self, target, probes: list[int]) -> list[int]:
-        """The target's responses on the probe set, batched when possible."""
-        if not self.batched:
-            evaluate = self._evaluator(target)
-            return [evaluate(value) for value in probes]
+        """The target's responses on the probe set, in one batched call."""
         if isinstance(target, Permutation):
             mapping = target.mapping
             return [mapping[value] for value in probes]
         if isinstance(target, ReversibleCircuit):
-            if bitslice.supports(target.gates):
-                return bitslice.simulate_many(target, probes)
-            return [target.simulate(value) for value in probes]
+            return bitslice.simulate_many(target, probes)
         if isinstance(target, QuantumCircuitOracle):
             mapping = target.permutation.mapping
             return [mapping[value] for value in probes]
@@ -485,7 +458,6 @@ def build_registry(
     probe_count: int = DEFAULT_PROBE_COUNT,
     width_limit: int = FUNCTIONAL_WIDTH_LIMIT,
     salt: str = PROBE_SALT,
-    batched: bool = True,
 ) -> FingerprintRegistry:
     """The standard registry for one of the :data:`FINGERPRINT_SCHEMES`.
 
@@ -495,27 +467,18 @@ def build_registry(
     * ``exact`` — exact up to the limit, structure beyond; opaque wide
       oracles are unfingerprintable (bypass the cache).
     * ``probe`` — sampled probes at every width.
-
-    ``batched=False`` pins every strategy to its scalar reference loop;
-    digests are byte-identical either way (batching is evaluation
-    strategy, not identity, so it is deliberately *not* part of
-    :func:`config_digest`).
     """
     if scheme == "exact":
         strategies: tuple[Fingerprinter, ...] = (
-            TruthTableFingerprinter(width_limit, batched=batched),
+            TruthTableFingerprinter(width_limit),
             StructureFingerprinter(),
         )
     elif scheme == "probe":
-        strategies = (
-            SampledProbeFingerprinter(probe_count, salt, batched=batched),
-        )
+        strategies = (SampledProbeFingerprinter(probe_count, salt),)
     elif scheme == "auto":
-        strategies = (TruthTableFingerprinter(width_limit, batched=batched),)
+        strategies = (TruthTableFingerprinter(width_limit),)
         if probe_count > 0:
-            strategies += (
-                SampledProbeFingerprinter(probe_count, salt, batched=batched),
-            )
+            strategies += (SampledProbeFingerprinter(probe_count, salt),)
         strategies += (StructureFingerprinter(),)
     else:
         raise FingerprintError(

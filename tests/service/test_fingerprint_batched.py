@@ -1,34 +1,34 @@
-"""Batched-vs-scalar fingerprint invariance, and the peek_table cliff.
+"""Bitsliced fingerprints vs. a scalar reference, and the peek_table cliff.
 
-Batching is an evaluation strategy, never an identity: for every
-registered scheme the digests produced with ``batched=True`` and
-``batched=False`` must be byte-identical on every target — including
-the wide (16-24 line) corpus family, where the probe tier is the only
-functional identity.  The second half pins the ``peek_table`` cost
+Batching is an evaluation strategy, never an identity: the digest of a
+circuit or oracle (evaluated by the bitsliced kernel) must be
+byte-identical to the digest of the same outputs computed by a local
+scalar list comprehension over ``simulate`` / ``peek`` — under every
+registered scheme for narrow targets, and on the wide (16-24 line)
+corpus family, where the probe tier is the only functional identity.  The scalar outputs are fed
+back through representations the fingerprinters never evaluate
+bit-parallel (a tabulated :class:`Permutation`, an opaque
+:class:`FunctionOracle` answering from a dict), so the comparison is
+kernel against reference.  The second half pins the ``peek_table`` cost
 cliff fix: sampled-probe fingerprints of an opaque wide oracle touch
 exactly ``probe_count`` inputs, never the exponential table.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.circuits.io import real
+from repro.circuits.permutation import Permutation
 from repro.circuits.random import random_circuit
 from repro.oracles.oracle import CircuitOracle, FunctionOracle, PermutationOracle
-from repro.circuits.permutation import Permutation
 from repro.service.fingerprint import (
     DEFAULT_PROBE_COUNT,
     FINGERPRINT_SCHEMES,
-    SampledProbeFingerprinter,
-    FingerprintContext,
     build_registry,
-    config_digest,
+    probe_inputs,
 )
-from repro.core.engine import MatchingConfig
-from repro.service.workload import CorpusManifest, generate_corpus
+from repro.service.workload import generate_corpus
 
 CORPUS_SEED = 20240601
 
@@ -48,41 +48,46 @@ def wide_family_circuits(tmp_path_factory):
     return circuits
 
 
+def _scalar_probe_oracle(circuit):
+    """An opaque oracle answering the probe set from a scalar ``simulate`` loop."""
+    probes = probe_inputs(circuit.num_lines, DEFAULT_PROBE_COUNT)
+    outputs = [circuit.simulate(value) for value in probes]
+    return FunctionOracle(dict(zip(probes, outputs)).__getitem__, circuit.num_lines)
+
+
 class TestBatchedDigestInvariance:
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
     def test_wide_corpus_digests_identical(self, scheme, wide_family_circuits):
-        batched = build_registry(scheme, batched=True)
-        scalar = build_registry(scheme, batched=False)
+        registry = build_registry(scheme)
         for circuit in wide_family_circuits:
-            fp_batched = batched.fingerprint(circuit)
-            fp_scalar = scalar.fingerprint(circuit)
-            assert fp_batched.key == fp_scalar.key
-            assert fp_batched.digest == fp_scalar.digest
+            fp = registry.fingerprint(circuit)
+            if fp.scheme != "probe":
+                # The exact scheme keys wide circuits by structure, which
+                # evaluates nothing.
+                assert scheme == "exact" and fp.scheme == "structure"
+                continue
+            reference = _scalar_probe_oracle(circuit)
+            assert registry.fingerprint(reference).key == fp.key
 
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
     def test_narrow_targets_digests_identical(self, scheme, rng):
-        """Below the width limit the exact tier batches too."""
+        """Below the width limit the exact tier tabulates bitsliced too."""
         circuit = random_circuit(6, 24, rng)
+        oracle = CircuitOracle(circuit, with_inverse=True)
+        domain = range(1 << circuit.num_lines)
+        reference = Permutation([circuit.simulate(value) for value in domain])
+        peeked = Permutation([oracle.peek(value) for value in domain])
+        registry = build_registry(scheme)
+        expected = registry.fingerprint(reference).digest
+        assert registry.fingerprint(peeked).digest == expected
         targets = [
             circuit,
-            CircuitOracle(circuit, with_inverse=True),
-            Permutation(list(circuit.truth_table())),
-            PermutationOracle(Permutation(list(circuit.truth_table()))),
+            oracle,
+            Permutation(circuit.truth_table()),
+            PermutationOracle(Permutation(circuit.truth_table())),
         ]
-        batched = build_registry(scheme, batched=True)
-        scalar = build_registry(scheme, batched=False)
         for target in targets:
-            assert (
-                batched.fingerprint(target).key
-                == scalar.fingerprint(target).key
-            )
-
-    def test_batched_flag_is_not_part_of_the_config_digest(self):
-        """Cache keys never fork on the evaluation strategy."""
-        config = MatchingConfig()
-        assert config_digest(config) == config_digest(config)
-        # The registry knob itself leaves every produced key unchanged
-        # (asserted above), so the config digest has nothing to record.
+            assert registry.fingerprint(target).digest == expected
 
 
 class _CountingOracle(FunctionOracle):
@@ -113,12 +118,6 @@ class TestPeekTableCliff:
         assert fp.scheme == "probe"
         assert oracle.evaluations == DEFAULT_PROBE_COUNT
         assert oracle.total_queries == 0  # white-box, never charged
-
-    def test_scalar_reference_path_is_also_bounded(self):
-        oracle = _CountingOracle(16)
-        strategy = SampledProbeFingerprinter(batched=False)
-        strategy.fingerprint(oracle, FingerprintContext())
-        assert oracle.evaluations == DEFAULT_PROBE_COUNT
 
     def test_probe_count_scales_the_cost(self):
         oracle = _CountingOracle(18)
