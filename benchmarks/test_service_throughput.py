@@ -12,7 +12,7 @@ same manifest —
 
 and the execution *APIs* run the same fixed task batch —
 
-* batch (the deprecated ``Executor.execute`` list form),
+* batch (``Executor.stream`` drained into a list sorted by task index),
 * streaming (``Executor.stream``, the as-completed contract),
 * overlap (:class:`OverlapExecutor`, execution pipelined with the
   consumer on a background thread).
@@ -21,7 +21,8 @@ Four tests are CI gates:
 
 * ``test_streaming_not_slower_than_batch`` — the streaming API exists to
   *remove* buffering, so it must not cost throughput; the job fails if
-  streaming is more than 25% slower than batch on the fixed corpus.
+  streaming is more than 25% slower than a drain-and-sort batch on the
+  fixed corpus.
 * ``test_wide_probe_digest_batched_speedup`` — bitsliced probe digests
   of the wide corpus must be at least 8x a scalar ``simulate`` loop.
 * ``test_exhaustive_equality_speedup`` — exhaustive
@@ -46,7 +47,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import pytest
@@ -165,16 +165,16 @@ def _best_of(runs: int, call) -> float:
 
 
 def test_streaming_not_slower_than_batch(benchmark, corpus):
-    """CI gate: `stream` must stay within 25% of the deprecated batch API."""
+    """CI gate: `stream` must stay within 25% of a drain-and-sort batch."""
     config = MatchingConfig()
     tasks = _fixed_tasks(corpus)
     executor = SerialExecutor()
     batch_outcomes: list = []
 
     def batch():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            batch_outcomes[:] = executor.execute(tasks, config)
+        batch_outcomes[:] = sorted(
+            executor.stream(tasks, config), key=lambda outcome: outcome.index
+        )
 
     def streaming():
         return list(executor.stream(tasks, config))

@@ -2,35 +2,31 @@
 
 :class:`CacheServer` speaks ``repro-cache/v1`` (specified in
 ``docs/remote-cache.md``): newline-delimited JSON request/response frames
-over a Unix or TCP socket, exactly the framing the matching daemon uses —
-one JSON object per line, every response carrying ``ok`` and
-``protocol``, errors never closing the connection.  The server is a thin
-shell around any existing :class:`~repro.service.cache.ResultCache`
-(LRU, disk, tiered): ``get``/``put``/``get_many`` go straight through
+over a Unix or TCP socket, served by the same :mod:`repro.wire` core as
+the matching daemon — one JSON object per line, every response carrying
+``ok`` and ``protocol``, errors never closing the connection.  The
+server is a thin shell around any existing
+:class:`~repro.service.cache.ResultCache` (LRU, disk, tiered):
+``get``/``put``/``get_many`` go straight through
 the cache's public surface, so the backing tier's
 :class:`~repro.service.cache.CacheStats` counts every remote lookup and
 the ``stats`` op reconciles with it exactly.
 
-Security mirrors the daemon: the shared-secret ``auth`` handshake
-(constant-time comparison, per-connection flag), with ``ping`` and
-``auth`` the only unauthenticated ops, and a refusal to bind a
-non-loopback TCP address without a token unless ``insecure`` opts out
-explicitly.
+Security is the core's, so it is the daemon's: the shared-secret
+``auth`` handshake (constant-time comparison, per-connection flag), with
+``ping`` and ``auth`` the only unauthenticated ops, and a refusal to
+bind a non-loopback TCP address without a token unless ``insecure`` opts
+out explicitly.
 """
 
 from __future__ import annotations
 
-import hmac
-import json
-import os
-import socket
-import threading
 import time
 from pathlib import Path
 
 from repro.exceptions import DaemonError
 from repro.service.cache import ResultCache
-from repro.service.daemon import _is_loopback
+from repro.wire import WireServer
 
 __all__ = ["CACHE_PROTOCOL_VERSION", "CacheServer"]
 
@@ -42,7 +38,7 @@ CACHE_PROTOCOL_VERSION = "repro-cache/v1"
 GET_MANY_LIMIT = 4096
 
 
-class CacheServer:
+class CacheServer(WireServer):
     """A socket server exposing one result cache to many clients.
 
     Args:
@@ -50,16 +46,17 @@ class CacheServer:
             every remote ``get``/``put`` lands on its public surface, so
             its stats and metrics count network traffic like local
             traffic.
-        socket_path: serve on a Unix socket at this path...
-        host, port: ...or on TCP (``port=0`` picks a free port; the
-            bound address is :attr:`address`).  Exactly one transport.
-        auth_token: shared secret clients must present via the ``auth``
-            op before any cache operation.  Required for a non-loopback
-            TCP bind (the server refuses to start without one unless
-            ``insecure`` is set); optional elsewhere.
-        insecure: allow a non-loopback TCP bind with no auth token — an
-            explicit opt-out for trusted networks, never the default.
+        socket_path, host, port, auth_token, insecure: the transport
+            and its shared secret, exactly as for
+            :class:`~repro.wire.WireServer`.
+
+    Stopping leaves the backing cache untouched — a disk tier keeps
+    every entry for the next server.
     """
+
+    PROTOCOL = CACHE_PROTOCOL_VERSION
+    NOUN = "cache server"
+    COMMAND = "repro cache-server"
 
     def __init__(
         self,
@@ -73,276 +70,29 @@ class CacheServer:
     ) -> None:
         if cache is None:
             raise DaemonError("a cache server needs a backing cache")
-        if (socket_path is None) == (host is None):
-            raise DaemonError(
-                "choose exactly one transport: socket_path=... or host=/port="
-            )
-        if host is not None and port is None:
-            raise DaemonError("a TCP cache server needs a port (0 picks one)")
+        super().__init__(
+            socket_path=socket_path,
+            host=host,
+            port=port,
+            auth_token=auth_token,
+            insecure=insecure,
+        )
         self._cache = cache
-        self._socket_path = Path(socket_path) if socket_path is not None else None
-        self._host = host
-        self._port = port
-        self._auth_token = auth_token
-        self._insecure = insecure
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._stopped = threading.Event()
-        self._started_at: float | None = None
-
-    # -- lifecycle -------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        """The bound address: ``unix:<path>`` or ``tcp:<host>:<port>``."""
-        if self._socket_path is not None:
-            return f"unix:{self._socket_path}"
-        return f"tcp:{self._host}:{self._port}"
 
     @property
     def cache(self) -> ResultCache:
         """The backing cache the server fronts."""
         return self._cache
 
-    def start(self) -> None:
-        """Bind the socket and start the accept thread."""
-        if self._listener is not None:
-            raise DaemonError("cache server already started")
-        if (
-            self._host is not None
-            and not _is_loopback(self._host)
-            and self._auth_token is None
-            and not self._insecure
-        ):
-            raise DaemonError(
-                f"refusing to serve on non-loopback address {self._host!r} "
-                "without an auth token; pass auth_token=... "
-                "(repro cache-server --auth-token-file) or insecure=True "
-                "(--insecure) to opt out explicitly"
-            )
-        if self._socket_path is not None:
-            if self._socket_path.exists():
-                # A stale socket file (previous server died) is safe to
-                # unlink and bind over; a live one is not — hijacking a
-                # serving cache's address would split the pool in two.
-                probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                try:
-                    probe.settimeout(1.0)
-                    probe.connect(str(self._socket_path))
-                except OSError:
-                    self._socket_path.unlink()
-                else:
-                    raise DaemonError(
-                        f"a cache server is already serving on {self._socket_path}"
-                    )
-                finally:
-                    probe.close()
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(str(self._socket_path))
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self._host, self._port))
-            self._port = listener.getsockname()[1]
-        listener.listen()
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._started_at = time.monotonic()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-cache-accept", daemon=True
-        )
-        self._accept_thread.start()
-
-    def serve_forever(self) -> None:
-        """Start (if needed) and block until the server is stopped."""
-        if self._listener is None:
-            self.start()
-        try:
-            self._stopped.wait()
-        except KeyboardInterrupt:
-            self.stop()
-
-    def stop(self) -> None:
-        """Shut down: close the listener and every live connection.
-
-        Safe to call from a client-handler thread (the ``shutdown`` op
-        does) and idempotent.  The backing cache is untouched — a disk
-        tier keeps every entry for the next server.
-        """
-        if self._stopping.is_set():
-            self._stopped.wait()
-            return
-        self._stopping.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-        if self._listener is not None:
-            self._listener.close()
-        if self._socket_path is not None and self._socket_path.exists():
-            self._socket_path.unlink()
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            connection.close()
-        self._stopped.set()
-
-    # -- socket plumbing -------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                connection, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._connections_lock:
-                self._connections.add(connection)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name="repro-cache-client",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        reader = connection.makefile("r", encoding="utf-8")
-        writer = connection.makefile("w", encoding="utf-8")
-        # Connections start authenticated only when no token is
-        # configured; the `auth` op upgrades the flag for this connection
-        # alone (it rides the dispatch return value, so the handler
-        # thread owns it without any shared state).
-        authenticated = self._auth_token is None
-        try:
-            while not self._stopping.is_set():
-                line = reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    frame = json.loads(line)
-                    if not isinstance(frame, dict):
-                        raise ValueError("frame must be a JSON object")
-                except ValueError as error:
-                    self._send(writer, self._error(f"malformed frame: {error}"))
-                    continue
-                keep_open, authenticated = self._dispatch(
-                    frame, writer, authenticated
-                )
-                if not keep_open:
-                    break
-        except OSError:
-            # Client went away mid-write (or the server is closing the
-            # socket under us); nothing to clean up beyond the handles.
-            pass
-        finally:
-            with self._connections_lock:
-                self._connections.discard(connection)
-            for handle in (reader, writer, connection):
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-
-    @staticmethod
-    def _send(writer, frame: dict) -> None:
-        writer.write(json.dumps(frame) + "\n")
-        writer.flush()
-
-    @staticmethod
-    def _error(message: str) -> dict:
-        return {"ok": False, "protocol": CACHE_PROTOCOL_VERSION, "error": message}
-
-    def _ok(self, **fields) -> dict:
-        frame = {"ok": True, "protocol": CACHE_PROTOCOL_VERSION}
-        frame.update(fields)
-        return frame
-
-    def _dispatch(
-        self, frame: dict, writer, authenticated: bool = True
-    ) -> tuple[bool, bool]:
-        """Handle one request frame.
-
-        Returns ``(keep_open, authenticated)``: the first element is
-        False to close the connection, the second carries the
-        connection's (possibly just upgraded) auth state back to the
-        read loop.
-        """
-        op = frame.get("op")
-        if op == "ping":
-            # Liveness stays unauthenticated: health probes and the
-            # version handshake must work before the token exchange.
-            self._send(writer, self._ok(op="ping", pid=os.getpid()))
-            return True, authenticated
-        if op == "auth":
-            response, authenticated = self._handle_auth(frame, authenticated)
-            self._send(writer, response)
-            return True, authenticated
-        if not authenticated:
-            self._send(
-                writer,
-                self._error(
-                    "authentication required: send "
-                    '{"op": "auth", "token": ...} first'
-                ),
-            )
-            return True, authenticated
-        if op == "get":
-            self._send(writer, self._handle_get(frame))
-            return True, authenticated
-        if op == "put":
-            self._send(writer, self._handle_put(frame))
-            return True, authenticated
-        if op == "get_many":
-            self._send(writer, self._handle_get_many(frame))
-            return True, authenticated
-        if op == "stats":
-            self._send(writer, self._handle_stats())
-            return True, authenticated
-        if op == "shutdown":
-            self._send(writer, self._ok(op="shutdown", shutting_down=True))
-            # Stop from a fresh thread: stop() joins the accept thread
-            # and closes handler sockets, and this handler must first
-            # return so its own connection can be torn down.
-            threading.Thread(
-                target=self.stop, name="repro-cache-shutdown", daemon=True
-            ).start()
-            return False, authenticated
-        self._send(writer, self._error(f"unknown op {op!r}"))
-        return True, authenticated
-
-    def _handle_auth(
-        self, frame: dict, authenticated: bool
-    ) -> tuple[dict, bool]:
-        """The shared-secret handshake; constant-time token comparison."""
-        if self._auth_token is None:
-            return self._ok(op="auth", authenticated=True), True
-        token = frame.get("token")
-        if not isinstance(token, str):
-            return self._error("auth needs a string 'token'"), authenticated
-        if not hmac.compare_digest(
-            token.encode("utf-8"), self._auth_token.encode("utf-8")
-        ):
-            # An error frame, not a hang-up: the protocol promise that
-            # errors never close the connection holds for auth too.
-            return self._error("auth failed: bad token"), authenticated
-        return self._ok(op="auth", authenticated=True), True
-
     # -- ops -------------------------------------------------------------------
-    def _handle_get(self, frame: dict) -> dict:
+    def _handle_get(self, frame: dict, connection) -> dict:
         key = frame.get("key")
         if not isinstance(key, str):
             return self._error("get needs a string 'key'")
         record = self._cache.get(key)
         return self._ok(op="get", key=key, record=record)
 
-    def _handle_put(self, frame: dict) -> dict:
+    def _handle_put(self, frame: dict, connection) -> dict:
         key = frame.get("key")
         if not isinstance(key, str):
             return self._error("put needs a string 'key'")
@@ -352,7 +102,7 @@ class CacheServer:
         self._cache.put(key, record)
         return self._ok(op="put", key=key, stored=True)
 
-    def _handle_get_many(self, frame: dict) -> dict:
+    def _handle_get_many(self, frame: dict, connection) -> dict:
         keys = frame.get("keys")
         if not isinstance(keys, list) or not all(
             isinstance(key, str) for key in keys
@@ -373,7 +123,7 @@ class CacheServer:
                 records[key] = record
         return self._ok(op="get_many", records=records, misses=len(keys) - len(records))
 
-    def _handle_stats(self) -> dict:
+    def _handle_stats(self, frame: dict, connection) -> dict:
         # The exact CacheStats.as_dict shape the daemon's own stats op
         # reports for its cache, plus the entry count — the remote and
         # local views of one pool reconcile field by field.
@@ -382,3 +132,11 @@ class CacheServer:
             uptime=time.monotonic() - self._started_at,
             cache={**self._cache.stats.as_dict(), "size": len(self._cache)},
         )
+
+    #: Authenticated ops; ``ping``, ``auth`` and ``shutdown`` are the core's.
+    OPS = {
+        "get": _handle_get,
+        "put": _handle_put,
+        "get_many": _handle_get_many,
+        "stats": _handle_stats,
+    }

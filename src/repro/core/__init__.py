@@ -22,7 +22,7 @@ mirrors it with a declarative dispatch layer:
 Public surface:
 
 * :class:`EquivalenceType`, :class:`Hardness`, :func:`classify`,
-  :func:`dominates`, :func:`domination_lattice` — the 16 X-Y equivalence
+  :func:`dominates`, :func:`domination_edges` — the 16 X-Y equivalence
   classes and the Fig. 1 lattice/classification.
 * :func:`match` — dispatch to the Section 4 algorithm for a promised class.
 * :class:`MatchingEngine`, :class:`MatchingConfig`, :class:`BatchReport` —
@@ -58,7 +58,6 @@ from repro.core.equivalence import (
     classify,
     dominates,
     domination_edges,
-    domination_lattice,
 )
 from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
 from repro.core.registry import (
@@ -83,7 +82,6 @@ __all__ = [
     "Hardness",
     "classify",
     "dominates",
-    "domination_lattice",
     "domination_edges",
     "Table1Row",
     "TABLE1_ROWS",

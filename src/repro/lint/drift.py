@@ -58,10 +58,12 @@ def _section_lines(lines: list[str], heading_key: str):
 class ProtocolOpsRule(ProjectRule):
     """Daemon ``op`` strings must match the protocol.md Operations table.
 
-    The base of a small family: any server with a ``_dispatch`` method
-    comparing an ``op`` name against string constants gets the same
-    treatment by subclassing and repointing ``_SERVER``/``_DOC``/``_WHAT``
-    (see :class:`CacheProtocolOpsRule`).
+    A server's ops are the keys of its ``OPS`` dispatch table plus the
+    keys of the wire core's ``CORE_OPS`` table (``repro/wire.py``), the
+    ops every server answers.  The base of a small family: any server
+    built on the core gets the same treatment by subclassing and
+    repointing ``_SERVER``/``_DOC``/``_WHAT`` (see
+    :class:`CacheProtocolOpsRule`).
     """
 
     rule_id = "drift-protocol-ops"
@@ -69,6 +71,7 @@ class ProtocolOpsRule(ProjectRule):
                "Operations table must list the same operations")
 
     _SERVER = "repro/service/daemon.py"
+    _CORE = "repro/wire.py"
     _DOC = "docs/protocol.md"
     _WHAT = "daemon"
 
@@ -76,9 +79,13 @@ class ProtocolOpsRule(ProjectRule):
         module = project.module(self._SERVER)
         if module is None:
             return []
-        code_ops = self._code_ops(module)
+        code_ops = self._table_ops(module, "OPS")
         if not code_ops:
             return []
+        core = project.module(self._CORE)
+        if core is not None:
+            for op, site in self._table_ops(core, "CORE_OPS").items():
+                code_ops.setdefault(op, site)
         doc = project.read_doc(self._DOC)
         if doc is None:
             return [self.finding(
@@ -95,7 +102,7 @@ class ProtocolOpsRule(ProjectRule):
         findings: list[Finding] = []
         for op in sorted(set(code_ops) - set(doc_ops)):
             findings.append(self.finding(
-                module.relpath, code_ops[op],
+                *code_ops[op],
                 f"{self._WHAT} handles op {op!r} but the {self._DOC} "
                 "Operations table does not document it",
             ))
@@ -108,30 +115,26 @@ class ProtocolOpsRule(ProjectRule):
         return findings
 
     @staticmethod
-    def _code_ops(module: ModuleContext) -> dict[str, int]:
-        """Op strings compared against the ``op`` name in ``_dispatch``."""
-        ops: dict[str, int] = {}
-        for func in ast.walk(module.tree):
-            if not isinstance(func, ast.FunctionDef):
+    def _table_ops(
+        module: ModuleContext, name: str
+    ) -> dict[str, tuple[str, int]]:
+        """String keys of a dict literal assigned to ``name``, with sites."""
+        ops: dict[str, tuple[str, int]] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
                 continue
-            if func.name != "_dispatch":
+            if not (isinstance(node.value, ast.Dict) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in targets
+            )):
                 continue
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Compare):
-                    continue
-                sides = [node.left, *node.comparators]
-                if not any(isinstance(side, ast.Name) and side.id == "op"
-                           for side in sides):
-                    continue
-                for side in sides:
-                    if (isinstance(side, ast.Constant)
-                            and isinstance(side.value, str)):
-                        ops.setdefault(side.value, side.lineno)
-                    elif isinstance(side, (ast.Tuple, ast.Set, ast.List)):
-                        for element in side.elts:
-                            if (isinstance(element, ast.Constant)
-                                    and isinstance(element.value, str)):
-                                ops.setdefault(element.value, element.lineno)
+            for key in node.value.keys:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    ops.setdefault(key.value, (module.relpath, key.lineno))
         return ops
 
 

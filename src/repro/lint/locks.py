@@ -199,8 +199,19 @@ class ThreadEntryMutationRule(ModuleRule):
 
     @staticmethod
     def _thread_entries(class_node: ast.ClassDef) -> set[str]:
-        """Method names passed as ``target=self.<m>`` to a Thread(...)."""
+        """Method names passed as ``target=self.<m>`` to a Thread(...).
+
+        Handlers named in a class-level ``OPS`` table count too: the wire
+        core calls them on its connection threads.
+        """
         entries: set[str] = set()
+        for node in class_node.body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Dict)
+                    and any(isinstance(target, ast.Name) and target.id == "OPS"
+                            for target in node.targets)):
+                entries.update(value.id for value in node.value.values
+                               if isinstance(value, ast.Name))
         for node in ast.walk(class_node):
             if not isinstance(node, ast.Call):
                 continue

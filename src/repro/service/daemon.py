@@ -12,8 +12,9 @@ of re-fingerprinting the same pairs.
 
 The wire protocol (``repro-daemon/v1``, specified in
 ``docs/protocol.md``) is newline-delimited JSON over a Unix or TCP
-socket.  Clients send request frames (``{"op": ...}``) and read response
-frames; the ``events`` op turns the connection into a subscription that
+socket, served by the :mod:`repro.wire` core; this module contributes
+the daemon's op table.  Clients send request frames (``{"op": ...}``)
+and read response frames; the ``events`` op turns the connection into a subscription that
 replays and then live-streams the run's
 :mod:`repro.service.events` dicts, which is how ``repro watch`` drives
 ordinary :class:`~repro.service.events.Observer` objects against a
@@ -36,12 +37,8 @@ daemon``) are built on.
 
 from __future__ import annotations
 
-import hmac
-import ipaddress
 import json
-import os
 import queue as _queue
-import socket
 import threading
 import time
 from collections.abc import Iterator, Sequence
@@ -62,6 +59,7 @@ from repro.service.events import Observer, event_from_dict
 from repro.service.executor import Executor, OverlapExecutor, SerialExecutor
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
 from repro.service.workload import MANIFEST_NAME
+from repro.wire import WireClient, WireServer
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -94,21 +92,6 @@ _DEFAULT_CACHE = object()
 #: client's reconnect attempt; grows linearly per attempt, capped below.
 EVENTS_RECONNECT_BACKOFF_S = 0.2
 EVENTS_RECONNECT_BACKOFF_MAX_S = 2.0
-
-
-def _is_loopback(host: str) -> bool:
-    """Whether a bind/connect host is loopback-only.
-
-    Hostnames other than ``localhost`` are treated as non-loopback: a
-    daemon asked to bind a *name* may end up on a routable interface, so
-    the auth requirement errs on the side of demanding a token.
-    """
-    if host == "localhost":
-        return True
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False
 
 
 class RunState:
@@ -316,7 +299,7 @@ class DaemonJob:
             }
 
 
-class MatchingDaemon:
+class MatchingDaemon(WireServer):
     """A socket server running matching jobs against shared warm state.
 
     Args:
@@ -326,10 +309,8 @@ class MatchingDaemon:
             policy keeps runs comparable).
         store_dir: directory receiving one ``<run_id>.jsonl`` result
             store per submission (created if missing).
-        socket_path: serve on a Unix socket at this path...
-        host, port: ...or on TCP (``port=0`` picks a free port; the bound
-            address is :attr:`address`).  Exactly one transport must be
-            chosen.
+        socket_path, host, port, insecure: the transport, exactly as for
+            :class:`~repro.wire.WireServer`.
         cache: shared result cache; defaults to
             :func:`~repro.service.cache.build_cache` with the cache
             persisted under ``store_dir/cache``.  Pass ``None`` explicitly
@@ -354,8 +335,6 @@ class MatchingDaemon:
             one unless ``insecure`` is set); optional elsewhere.  Also
             presented to the ``remote_cache`` server (one fleet-wide
             shared secret).
-        insecure: allow a non-loopback TCP bind with no auth token — an
-            explicit opt-out for trusted networks, never the default.
         max_queued: bound on jobs waiting to run; a submit beyond it is
             rejected with an error frame instead of queueing unboundedly.
         history_limit: how many *finished* runs keep their event history
@@ -364,6 +343,10 @@ class MatchingDaemon:
             theirs (their status, summary and JSONL store all remain) —
             bounding a long-lived daemon's memory.
     """
+
+    PROTOCOL = PROTOCOL_VERSION
+    NOUN = "daemon"
+    COMMAND = "repro serve"
 
     def __init__(
         self,
@@ -382,12 +365,13 @@ class MatchingDaemon:
         max_queued: int = 16,
         history_limit: int = 64,
     ) -> None:
-        if (socket_path is None) == (host is None):
-            raise DaemonError(
-                "choose exactly one transport: socket_path=... or host=/port="
-            )
-        if host is not None and port is None:
-            raise DaemonError("a TCP daemon needs a port (0 picks one)")
+        super().__init__(
+            socket_path=socket_path,
+            host=host,
+            port=port,
+            auth_token=auth_token,
+            insecure=insecure,
+        )
         if max_queued <= 0:
             raise DaemonError(f"max_queued must be positive, got {max_queued}")
         if history_limit <= 0:
@@ -398,9 +382,6 @@ class MatchingDaemon:
         self._config = config if config is not None else MatchingConfig()
         self._store_dir = Path(store_dir)
         self._store_dir.mkdir(parents=True, exist_ok=True)
-        self._socket_path = Path(socket_path) if socket_path is not None else None
-        self._host = host
-        self._port = port
         if cache is _DEFAULT_CACHE:
             cache = build_cache(disk_dir=self._store_dir / "cache")
         self._cache = cache
@@ -413,15 +394,13 @@ class MatchingDaemon:
             )
         self._executor = executor
         self._verify = verify
-        self._auth_token = auth_token
-        self._insecure = insecure
         if remote_cache is not None:
             # Fail fast on a garbled address; reachability is checked
             # lazily (an unreachable server degrades, never refuses).
-            DaemonClient.from_address(remote_cache)
+            WireClient.from_address(remote_cache)
         self._remote_cache_default = remote_cache
         # One RemoteCache per distinct address, created lazily by the
-        # worker thread (_run_job) and torn down by stop(); the lock
+        # worker thread (_run_job) and torn down by _on_stop(); the lock
         # covers the dict, not the tiers — each RemoteCache serialises
         # its own traffic under its own cache lock.
         self._remote_caches: dict[str, object] = {}
@@ -430,23 +409,9 @@ class MatchingDaemon:
         self._jobs: dict[str, DaemonJob] = {}
         self._jobs_lock = threading.Lock()
         self._run_counter = 0
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
         self._worker_thread: threading.Thread | None = None
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._stopped = threading.Event()
-        self._started_at: float | None = None
 
     # -- lifecycle -------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        """The bound address: ``unix:<path>`` or ``tcp:<host>:<port>``."""
-        if self._socket_path is not None:
-            return f"unix:{self._socket_path}"
-        return f"tcp:{self._host}:{self._port}"
-
     @property
     def store_dir(self) -> Path:
         """The directory holding per-run result stores."""
@@ -462,80 +427,20 @@ class MatchingDaemon:
         """The daemon-wide metrics registry (the ``metrics`` op's source)."""
         return self._metrics
 
-    def start(self) -> None:
-        """Bind the socket and start the accept and worker threads."""
-        if self._listener is not None:
-            raise DaemonError("daemon already started")
-        if (
-            self._host is not None
-            and not _is_loopback(self._host)
-            and self._auth_token is None
-            and not self._insecure
-        ):
-            raise DaemonError(
-                f"refusing to serve on non-loopback address {self._host!r} "
-                "without an auth token; pass auth_token=... "
-                "(repro serve --auth-token-file) or insecure=True "
-                "(--insecure) to opt out explicitly"
-            )
-        if self._socket_path is not None:
-            if self._socket_path.exists():
-                # Distinguish a *stale* socket file (previous daemon died;
-                # safe to unlink and bind over) from a *live* one —
-                # silently hijacking a serving daemon's address would
-                # strand it and interleave two daemons' stores.
-                probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                try:
-                    probe.settimeout(1.0)
-                    probe.connect(str(self._socket_path))
-                except OSError:
-                    self._socket_path.unlink()
-                else:
-                    raise DaemonError(
-                        f"a daemon is already serving on {self._socket_path}"
-                    )
-                finally:
-                    probe.close()
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(str(self._socket_path))
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self._host, self._port))
-            self._port = listener.getsockname()[1]
-        listener.listen()
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._started_at = time.monotonic()
+    def _on_start(self) -> None:
         self._worker_thread = threading.Thread(
             target=self._work_loop, name="repro-daemon-worker", daemon=True
         )
         self._worker_thread.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-daemon-accept", daemon=True
-        )
-        self._accept_thread.start()
 
-    def serve_forever(self) -> None:
-        """Start (if needed) and block until the daemon is stopped."""
-        if self._listener is None:
-            self.start()
-        try:
-            self._stopped.wait()
-        except KeyboardInterrupt:
-            self.stop()
+    def _on_stop(self) -> None:
+        """Cancel active and queued runs, then drop the remote tiers.
 
-    def stop(self) -> None:
-        """Shut down: cancel active and queued runs, close every socket.
-
-        Safe to call from a client-handler thread (the ``shutdown`` op
-        does) and idempotent.  Cancelled runs keep every record already
-        flushed to their store, so they resume cleanly on a later daemon.
+        Cancelled runs keep every record already flushed to their store,
+        so they resume cleanly on a later daemon.  Runs before the core
+        closes any socket, so ``events`` subscribers still get their
+        terminator frames.
         """
-        if self._stopping.is_set():
-            self._stopped.wait()
-            return
-        self._stopping.set()
         with self._jobs_lock:
             jobs = list(self._jobs.values())
         for job in jobs:
@@ -544,20 +449,6 @@ class MatchingDaemon:
         self._pending.put(_EOS)  # wake the worker
         if self._worker_thread is not None:
             self._worker_thread.join()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-        if self._listener is not None:
-            self._listener.close()
-        if self._socket_path is not None and self._socket_path.exists():
-            self._socket_path.unlink()
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            connection.close()
         # The worker thread is joined above, so the remote tiers are
         # quiescent; dropping their connections is pure cleanup.
         with self._remote_caches_lock:
@@ -565,163 +456,9 @@ class MatchingDaemon:
             self._remote_caches.clear()
         for address in sorted(remote_caches):
             remote_caches[address].close()
-        self._stopped.set()
-
-    # -- socket plumbing -------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                connection, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._connections_lock:
-                self._connections.add(connection)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name="repro-daemon-client",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        reader = connection.makefile("r", encoding="utf-8")
-        writer = connection.makefile("w", encoding="utf-8")
-        # Connections start authenticated only when no token is
-        # configured; the `auth` op upgrades the flag for this
-        # connection alone (it rides the dispatch return value, so the
-        # handler thread owns it without any shared state).
-        authenticated = self._auth_token is None
-        try:
-            while not self._stopping.is_set():
-                line = reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    frame = json.loads(line)
-                    if not isinstance(frame, dict):
-                        raise ValueError("frame must be a JSON object")
-                except ValueError as error:
-                    self._send(writer, self._error(f"malformed frame: {error}"))
-                    continue
-                keep_open, authenticated = self._dispatch(
-                    frame, writer, authenticated
-                )
-                if not keep_open:
-                    break
-        except OSError:
-            # Client went away mid-write (or the daemon is closing the
-            # socket under us); nothing to clean up beyond the handles.
-            pass
-        finally:
-            with self._connections_lock:
-                self._connections.discard(connection)
-            for handle in (reader, writer, connection):
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-
-    @staticmethod
-    def _send(writer, frame: dict) -> None:
-        writer.write(json.dumps(frame) + "\n")
-        writer.flush()
-
-    @staticmethod
-    def _error(message: str) -> dict:
-        return {"ok": False, "protocol": PROTOCOL_VERSION, "error": message}
-
-    def _ok(self, **fields) -> dict:
-        frame = {"ok": True, "protocol": PROTOCOL_VERSION}
-        frame.update(fields)
-        return frame
-
-    def _dispatch(
-        self, frame: dict, writer, authenticated: bool = True
-    ) -> tuple[bool, bool]:
-        """Handle one request frame.
-
-        Returns ``(keep_open, authenticated)``: the first element is
-        False to close the connection, the second carries the
-        connection's (possibly just upgraded) auth state back to the
-        read loop.
-        """
-        op = frame.get("op")
-        if op == "ping":
-            # Liveness stays unauthenticated: fleet health probes and
-            # the version handshake must work before the token exchange.
-            self._send(writer, self._ok(op="ping", pid=os.getpid()))
-            return True, authenticated
-        if op == "auth":
-            response, authenticated = self._handle_auth(frame, authenticated)
-            self._send(writer, response)
-            return True, authenticated
-        if not authenticated:
-            self._send(
-                writer,
-                self._error(
-                    "authentication required: send "
-                    '{"op": "auth", "token": ...} first'
-                ),
-            )
-            return True, authenticated
-        if op == "submit":
-            self._send(writer, self._handle_submit(frame))
-            return True, authenticated
-        if op == "status":
-            self._send(writer, self._handle_status(frame))
-            return True, authenticated
-        if op == "stats":
-            self._send(writer, self._handle_stats())
-            return True, authenticated
-        if op == "metrics":
-            self._send(
-                writer, self._ok(op="metrics", metrics=self._metrics.snapshot())
-            )
-            return True, authenticated
-        if op == "cancel":
-            self._send(writer, self._handle_cancel(frame))
-            return True, authenticated
-        if op == "fetch_store":
-            self._send(writer, self._handle_fetch_store(frame))
-            return True, authenticated
-        if op == "events":
-            return self._handle_events(frame, writer), authenticated
-        if op == "shutdown":
-            self._send(writer, self._ok(op="shutdown", shutting_down=True))
-            # Stop from a fresh thread: stop() joins the accept thread and
-            # waits on handler sockets, and this handler must first return
-            # so its own connection can be torn down.
-            threading.Thread(
-                target=self.stop, name="repro-daemon-shutdown", daemon=True
-            ).start()
-            return False, authenticated
-        self._send(writer, self._error(f"unknown op {op!r}"))
-        return True, authenticated
-
-    def _handle_auth(
-        self, frame: dict, authenticated: bool
-    ) -> tuple[dict, bool]:
-        """The shared-secret handshake; constant-time token comparison."""
-        if self._auth_token is None:
-            return self._ok(op="auth", authenticated=True), True
-        token = frame.get("token")
-        if not isinstance(token, str):
-            return self._error("auth needs a string 'token'"), authenticated
-        if not hmac.compare_digest(
-            token.encode("utf-8"), self._auth_token.encode("utf-8")
-        ):
-            # An error frame, not a hang-up: the protocol promise that
-            # errors never close the connection holds for auth too.
-            return self._error("auth failed: bad token"), authenticated
-        return self._ok(op="auth", authenticated=True), True
 
     # -- ops -------------------------------------------------------------------
-    def _handle_submit(self, frame: dict) -> dict:
+    def _handle_submit(self, frame: dict, connection) -> dict:
         if self._stopping.is_set():
             return self._error("daemon is shutting down")
         manifest = frame.get("manifest")
@@ -766,7 +503,7 @@ class MatchingDaemon:
             if not isinstance(remote_cache, str):
                 return self._error("'remote_cache' must be an address string")
             try:
-                DaemonClient.from_address(remote_cache)
+                WireClient.from_address(remote_cache)
             except DaemonError as error:
                 return self._error(str(error))
         if manifest is not None:
@@ -863,7 +600,7 @@ class MatchingDaemon:
             return f"unknown run {run_id!r}"
         return job
 
-    def _handle_status(self, frame: dict) -> dict:
+    def _handle_status(self, frame: dict, connection) -> dict:
         if frame.get("run_id") is not None:
             job = self._get_job(frame)
             if isinstance(job, str):
@@ -875,7 +612,7 @@ class MatchingDaemon:
             runs = [job.to_dict() for job in self._jobs.values()]
         return self._ok(op="status", runs=runs)
 
-    def _handle_stats(self) -> dict:
+    def _handle_stats(self, frame: dict, connection) -> dict:
         # Counts derive from job states, so stats can never disagree with
         # what a status probe of the individual runs would report.
         with self._jobs_lock:
@@ -918,7 +655,10 @@ class MatchingDaemon:
             cache=cache_stats,
         )
 
-    def _handle_cancel(self, frame: dict) -> dict:
+    def _handle_metrics(self, frame: dict, connection) -> dict:
+        return self._ok(op="metrics", metrics=self._metrics.snapshot())
+
+    def _handle_cancel(self, frame: dict, connection) -> dict:
         job = self._get_job(frame)
         if isinstance(job, str):
             return self._error(job)
@@ -926,7 +666,7 @@ class MatchingDaemon:
             job.cancel()
         return self._ok(op="cancel", run_id=job.run_id, state=job.state)
 
-    def _handle_fetch_store(self, frame: dict) -> dict:
+    def _handle_fetch_store(self, frame: dict, connection) -> dict:
         """Ship a run's JSONL store to the client, record by record.
 
         Records come back in file order (the store is append-only, so
@@ -966,36 +706,45 @@ class MatchingDaemon:
             torn_lines=torn_lines,
         )
 
-    def _handle_events(self, frame: dict, writer) -> bool:
+    def _handle_events(self, frame: dict, connection) -> None:
+        """Stream a run's events: the one op that writes its own frames."""
         job = self._get_job(frame)
         if isinstance(job, str):
-            self._send(writer, self._error(job))
-            return True
+            connection.send(self._error(job))
+            return
         replay = bool(frame.get("replay", True))
         subscription = job.subscribe(replay=replay)
-        self._send(writer, self._ok(op="events", run_id=job.run_id, state=job.state))
+        connection.send(self._ok(op="events", run_id=job.run_id, state=job.state))
         try:
             while True:
                 event = subscription.get()
                 if event is _EOS:
                     break
                 if event is _DROPPED:
-                    self._send(
-                        writer,
+                    connection.send(
                         self._error(
                             "events subscription dropped: client fell more "
                             f"than {SUBSCRIBER_BUFFER_LIMIT} events behind"
-                        ),
+                        )
                     )
-                    return True
-                self._send(writer, event)
-            self._send(
-                writer,
-                self._ok(op="events", done=True, run_id=job.run_id, state=job.state),
+                    return
+                connection.send(event)
+            connection.send(
+                self._ok(op="events", done=True, run_id=job.run_id, state=job.state)
             )
         finally:
             job.unsubscribe(subscription)
-        return True
+
+    #: Authenticated ops; ``ping``, ``auth`` and ``shutdown`` are the core's.
+    OPS = {
+        "submit": _handle_submit,
+        "status": _handle_status,
+        "stats": _handle_stats,
+        "metrics": _handle_metrics,
+        "cancel": _handle_cancel,
+        "fetch_store": _handle_fetch_store,
+        "events": _handle_events,
+    }
 
     # -- the worker ------------------------------------------------------------
     def _work_loop(self) -> None:
@@ -1115,184 +864,19 @@ class MatchingDaemon:
                 store.append(record)
 
 
-class DaemonClient:
+class DaemonClient(WireClient):
     """A blocking client for the ``repro-daemon/v1`` wire protocol.
 
-    One client wraps one connection; requests and responses are
-    line-delimited JSON frames.  Response frames with ``"ok": false``
-    raise :class:`~repro.exceptions.DaemonError` carrying the server's
-    message.  Usable as a context manager.
-
-    Args:
-        socket_path: connect to a Unix-socket daemon...
-        host, port: ...or a TCP one.
-        timeout: socket timeout in seconds (``None`` blocks forever —
-            fine for :meth:`events`, which has no frame cadence).
-        auth_token: shared secret for a token-protected daemon; sent as
-            an ``auth`` handshake on every (re)connect.
+    The constructor, connection, ``auth`` handshake, framing, ``ping``
+    and ``shutdown`` are :class:`~repro.wire.WireClient`'s; this class
+    adds the daemon's ops.  ``timeout=None`` blocks forever — fine for
+    :meth:`events`, which has no frame cadence.
     """
 
-    def __init__(
-        self,
-        socket_path: str | Path | None = None,
-        host: str | None = None,
-        port: int | None = None,
-        timeout: float | None = None,
-        auth_token: str | None = None,
-    ) -> None:
-        if (socket_path is None) == (host is None):
-            raise DaemonError(
-                "choose exactly one transport: socket_path=... or host=/port="
-            )
-        self._socket_path = socket_path
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._auth_token = auth_token
-        self._connection: socket.socket | None = None
-        self._reader = None
-        self._writer = None
-
-    @classmethod
-    def from_address(
-        cls,
-        address: str,
-        timeout: float | None = None,
-        auth_token: str | None = None,
-    ) -> "DaemonClient":
-        """Build a client from an ``unix:<path>`` / ``tcp:<host>:<port>`` string."""
-        kind, _, rest = address.partition(":")
-        if kind == "unix" and rest:
-            return cls(socket_path=rest, timeout=timeout, auth_token=auth_token)
-        if kind == "tcp" and rest:
-            host, _, port = rest.rpartition(":")
-            if host and port.isdigit():
-                return cls(
-                    host=host,
-                    port=int(port),
-                    timeout=timeout,
-                    auth_token=auth_token,
-                )
-        raise DaemonError(
-            f"not a daemon address: {address!r} "
-            "(expected unix:<path> or tcp:<host>:<port>)"
-        )
-
-    @property
-    def address(self) -> str:
-        """The target address: ``unix:<path>`` or ``tcp:<host>:<port>``."""
-        if self._socket_path is not None:
-            return f"unix:{self._socket_path}"
-        return f"tcp:{self._host}:{self._port}"
-
-    # -- connection ------------------------------------------------------------
-    def connect(self) -> "DaemonClient":
-        """Open the connection (idempotent); returns self for chaining."""
-        if self._connection is not None:
-            return self
-        try:
-            if self._socket_path is not None:
-                connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                connection.settimeout(self._timeout)
-                connection.connect(str(self._socket_path))
-            else:
-                connection = socket.create_connection(
-                    (self._host, self._port), timeout=self._timeout
-                )
-        except OSError as error:
-            raise DaemonConnectionError(
-                f"cannot reach daemon: {error}"
-            ) from None
-        self._connection = connection
-        self._reader = connection.makefile("r", encoding="utf-8")
-        self._writer = connection.makefile("w", encoding="utf-8")
-        if self._auth_token is not None:
-            self._handshake()
-        return self
-
-    def _handshake(self) -> None:
-        """Present the shared secret; raises (and closes) on refusal."""
-        try:
-            self._writer.write(
-                json.dumps({"op": "auth", "token": self._auth_token}) + "\n"
-            )
-            self._writer.flush()
-        except OSError as error:
-            self.close()
-            raise DaemonConnectionError(
-                f"daemon connection lost: {error}"
-            ) from None
-        try:
-            response = self._read_frame()
-        except DaemonError:
-            self.close()
-            raise
-        if response.get("ok") is not True:
-            self.close()
-            raise DaemonError(
-                response.get("error", "daemon refused the auth handshake")
-            )
-
-    def close(self) -> None:
-        """Close the connection (idempotent)."""
-        for handle in (self._reader, self._writer, self._connection):
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-        self._reader = self._writer = self._connection = None
-
-    def __enter__(self) -> "DaemonClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- framing ---------------------------------------------------------------
-    def _read_frame(self) -> dict:
-        try:
-            line = self._reader.readline()
-        except TimeoutError:
-            # The connection is up but quiet — distinct from a loss, so
-            # heartbeat-style callers (the fleet coordinator) can probe
-            # instead of reconnecting.
-            raise DaemonTimeoutError(
-                f"no frame within {self._timeout}s"
-            ) from None
-        except OSError as error:
-            raise DaemonConnectionError(
-                f"daemon connection lost: {error}"
-            ) from None
-        if not line:
-            raise DaemonConnectionError("daemon closed the connection")
-        try:
-            frame = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise DaemonError(f"daemon sent a malformed frame: {error}") from None
-        if not isinstance(frame, dict):
-            raise DaemonError("daemon sent a non-object frame")
-        return frame
-
-    def request(self, frame: dict) -> dict:
-        """Send one request frame, return the (checked) response frame."""
-        self.connect()
-        try:
-            self._writer.write(json.dumps(frame) + "\n")
-            self._writer.flush()
-        except OSError as error:
-            raise DaemonConnectionError(
-                f"daemon connection lost: {error}"
-            ) from None
-        response = self._read_frame()
-        if response.get("ok") is not True:
-            raise DaemonError(response.get("error", "daemon refused the request"))
-        return response
-
-    # -- ops -------------------------------------------------------------------
-    def ping(self) -> dict:
-        """Round-trip a ``ping``; returns the response frame."""
-        return self.request({"op": "ping"})
+    # Bound here as well so that wrapping ``DaemonClient.request`` in
+    # place (perfbench's round-trip counter) counts every request,
+    # including the remote cache tier's.
+    request = WireClient.request
 
     def submit(
         self,
@@ -1352,12 +936,6 @@ class DaemonClient:
     def fetch_store(self, run_id: str) -> dict:
         """A run's JSONL store records, in file order (any run state)."""
         return self.request({"op": "fetch_store", "run_id": run_id})
-
-    def shutdown(self) -> dict:
-        """Ask the daemon to stop (cancelling anything in flight)."""
-        response = self.request({"op": "shutdown"})
-        self.close()
-        return response
 
     def events(
         self,

@@ -26,9 +26,6 @@ populated at import time and forked workers inherit it for free) and
 yields chunks as they finish; :class:`OverlapExecutor` runs any inner
 executor on a background thread behind a bounded queue, so a consumer
 doing I/O (JSONL store appends) overlaps with oracle execution.
-
-The pre-streaming batch API, :meth:`Executor.execute`, survives as a
-deprecated wrapper that drains the stream and sorts by task index.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import os
 import queue as _queue
 import threading
 import time
-import warnings
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -174,23 +170,6 @@ class Executor(ABC):
         per-task outcomes themselves are deterministic either way because
         every task carries its own seed.
         """
-
-    def execute(
-        self, tasks: Iterable[PairTask], config: MatchingConfig
-    ) -> list[TaskOutcome]:
-        """Deprecated batch form: drain :meth:`stream`, sort by task index.
-
-        .. deprecated::
-            Iterate :meth:`stream` instead; the list form buffers the
-            whole run and cannot overlap downstream work with execution.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.execute() is deprecated; iterate "
-            f"{type(self).__name__}.stream() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return sorted(self.stream(tasks, config), key=lambda outcome: outcome.index)
 
 
 class SerialExecutor(Executor):

@@ -1,13 +1,13 @@
 """Fixture cache server: dispatches `evict`, which the doc omits."""
 
+from repro.wire import WireServer
 
-class CacheServer:
-    def _dispatch(self, frame):
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "get":
-            return {"ok": True, "record": None}
-        if op == "evict":
-            return {"ok": True, "evicted": 1}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+
+class CacheServer(WireServer):
+    def _handle_get(self, frame, connection):
+        return {"ok": True, "record": None}
+
+    def _handle_evict(self, frame, connection):
+        return {"ok": True, "evicted": 1}
+
+    OPS = {"get": _handle_get, "evict": _handle_evict}

@@ -1,11 +1,10 @@
 """Fixture cache server in agreement with its protocol doc."""
 
+from repro.wire import WireServer
 
-class CacheServer:
-    def _dispatch(self, frame):
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "get":
-            return {"ok": True, "record": None}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+
+class CacheServer(WireServer):
+    def _handle_get(self, frame, connection):
+        return {"ok": True, "record": None}
+
+    OPS = {"get": _handle_get}

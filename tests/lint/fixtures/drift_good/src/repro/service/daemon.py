@@ -1,11 +1,10 @@
-"""Fixture daemon: dispatch and the protocol doc agree exactly."""
+"""Fixture daemon: its op table and the protocol doc agree exactly."""
+
+from repro.wire import WireServer
 
 
-class MatchingDaemon:
-    def _dispatch(self, frame):
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "flush":
-            return {"ok": True, "flushed": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+class MatchingDaemon(WireServer):
+    def _handle_flush(self, frame, connection):
+        return {"ok": True, "flushed": True}
+
+    OPS = {"flush": _handle_flush}

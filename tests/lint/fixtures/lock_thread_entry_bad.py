@@ -23,3 +23,14 @@ class Relay:
 
     def _pump(self, job=None):
         job.state = "done"  # expect[lock-thread-entry]
+
+
+class Server:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._jobs = {}
+
+    def _handle_submit(self, frame, connection):
+        self._jobs.update(frame)  # expect[lock-thread-entry]
+
+    OPS = {"submit": _handle_submit}

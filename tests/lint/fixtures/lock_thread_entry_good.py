@@ -28,3 +28,15 @@ class Relay:
     def _pump(self, job=None):
         with job._lock:
             job.state = "done"
+
+
+class Server:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._jobs = {}
+
+    def _handle_submit(self, frame, connection):
+        with self._lock:
+            self._jobs.update(frame)
+
+    OPS = {"submit": _handle_submit}

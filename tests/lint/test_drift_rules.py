@@ -79,16 +79,21 @@ class TestDriftGoodTree:
 class TestDeliberateDesyncAgainstRealCode:
     """Doctor the real contracts and prove the rules notice."""
 
-    def _stage(self, tmp_path):
-        service = tmp_path / "src" / "repro" / "service"
-        service.mkdir(parents=True)
+    @staticmethod
+    def _stage_server(tmp_path, server, doc):
+        """Copy one real server module plus the wire core it builds on."""
+        (tmp_path / "src" / "repro" / server).parent.mkdir(parents=True)
         docs = tmp_path / "docs"
         docs.mkdir()
-        shutil.copy(
-            REPO_ROOT / "src" / "repro" / "service" / "daemon.py",
-            service / "daemon.py",
-        )
-        return docs / "protocol.md"
+        for module in (server, "wire.py"):
+            shutil.copy(
+                REPO_ROOT / "src" / "repro" / module,
+                tmp_path / "src" / "repro" / module,
+            )
+        return docs / doc
+
+    def _stage(self, tmp_path):
+        return self._stage_server(tmp_path, "service/daemon.py", "protocol.md")
 
     def test_real_daemon_against_doctored_protocol_doc(self, tmp_path):
         doc = self._stage(tmp_path)
@@ -105,6 +110,26 @@ class TestDeliberateDesyncAgainstRealCode:
         messages = "\n".join(f.message for f in findings)
         assert "'stats'" in messages and "does not document" in messages
         assert "'reboot'" in messages and "does not handle" in messages
+
+    def test_core_op_missing_from_the_doc_is_flagged(self, tmp_path):
+        # `auth` lives in the wire core's table, not the daemon's own:
+        # dropping its row must still surface as an undocumented op.
+        doc = self._stage(tmp_path)
+        original = (REPO_ROOT / "docs" / "protocol.md").read_text(
+            encoding="utf-8"
+        )
+        doctored = "\n".join(
+            line for line in original.splitlines()
+            if not line.startswith("| `auth` |")
+        )
+        assert doctored != original
+        doc.write_text(doctored, encoding="utf-8")
+        findings = _drift_findings(tmp_path, "drift-protocol-ops")
+        assert [(f.path, f.message) for f in findings] == [(
+            "src/repro/wire.py",
+            "daemon handles op 'auth' but the docs/protocol.md Operations "
+            "table does not document it",
+        )]
 
     def test_real_daemon_against_the_real_protocol_doc_is_clean(self, tmp_path):
         doc = self._stage(tmp_path)
@@ -129,15 +154,9 @@ class TestDeliberateDesyncAgainstRealCode:
         assert "'stats'" in messages
 
     def _stage_cachenet(self, tmp_path):
-        cachenet = tmp_path / "src" / "repro" / "cachenet"
-        cachenet.mkdir(parents=True)
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        shutil.copy(
-            REPO_ROOT / "src" / "repro" / "cachenet" / "server.py",
-            cachenet / "server.py",
+        return self._stage_server(
+            tmp_path, "cachenet/server.py", "remote-cache.md"
         )
-        return docs / "remote-cache.md"
 
     def test_real_cache_server_against_doctored_doc(self, tmp_path):
         doc = self._stage_cachenet(tmp_path)

@@ -732,6 +732,21 @@ class TestAuth:
         finally:
             daemon.stop()
 
+    def test_auth_is_per_connection(self, tmp_path):
+        daemon = start_daemon(tmp_path, auth_token="sesame")
+        first = DaemonClient.from_address(daemon.address, timeout=TIMEOUT)
+        second = DaemonClient.from_address(daemon.address, timeout=TIMEOUT)
+        try:
+            granted = first.request({"op": "auth", "token": "sesame"})
+            assert granted["authenticated"] is True
+            assert "uptime" in first.stats()
+            with pytest.raises(DaemonError, match="^authentication required"):
+                second.stats()
+        finally:
+            first.close()
+            second.close()
+            daemon.stop()
+
     def test_auth_is_a_noop_without_a_configured_token(self, daemon):
         with client_for(daemon) as client:
             response = client.request({"op": "auth", "token": "anything"})

@@ -118,22 +118,6 @@ class TestSerialExecutor:
         json.dumps([outcome.result for outcome in outcomes])  # must not raise
 
 
-class TestExecuteDeprecationShim:
-    def test_execute_warns_and_matches_sorted_stream(self, tasks):
-        config = MatchingConfig()
-        streamed = list(SerialExecutor().stream(tasks, config))
-        with pytest.warns(DeprecationWarning, match="SerialExecutor.execute"):
-            executed = SerialExecutor().execute(tasks, config)
-        assert executed == streamed
-
-    def test_execute_sorts_parallel_arrivals_by_index(self, tasks):
-        with pytest.warns(DeprecationWarning, match="ParallelExecutor.execute"):
-            outcomes = ParallelExecutor(workers=2, chunk_size=1).execute(
-                tasks, MatchingConfig()
-            )
-        assert [outcome.index for outcome in outcomes] == list(range(len(tasks)))
-
-
 class TestParallelExecutor:
     def test_four_workers_byte_identical_to_serial(self, tasks):
         config = MatchingConfig()
