@@ -37,6 +37,10 @@ Four tests are CI gates:
   cold/warm JSONL stores under ``BENCH_STORES`` (default: a tmp dir) so
   CI can gate ``repro report`` over real benchmark output.
 
+``test_wide_parse_throughput`` records ``parse_real`` gates/s over the
+wide corpus in ``extra_info`` so the load path is tracked over time; it
+gates nothing, because absolute gates/s on shared runners is too noisy.
+
 The per-backend pairs/sec figures are printed (``pytest -s``) and the
 wall-clock numbers land in the pytest-benchmark JSON, which CI uploads
 as an artifact so the trajectory tracks throughput over time.
@@ -328,6 +332,41 @@ def test_wide_probe_cached_vs_cold(benchmark, wide_corpus, tmp_path_factory):
     _report_throughput(
         "service throughput: wide corpus, probe-keyed cache",
         [("cold", cold), ("cached", report)],
+    )
+
+
+def test_wide_parse_throughput(benchmark, wide_corpus):
+    """Record ``parse_real`` gates/s over the wide corpus (no gate).
+
+    Parses the texts already read into memory, so file I/O stays out of
+    the figure.  The best-of wall-clock and the gates/s it implies land in
+    ``extra_info``.
+    """
+    from repro.circuits.io.real import parse_real
+
+    texts = [
+        path.read_text(encoding="utf-8")
+        for path in sorted(wide_corpus.glob("*.real"))
+    ]
+    gates = sum(parse_real(text).num_gates for text in texts)
+    assert gates > 0
+
+    def run():
+        for text in texts:
+            parse_real(text)
+
+    seconds = _best_of(5, run)
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.extra_info["files"] = len(texts)
+    benchmark.extra_info["gates"] = gates
+    benchmark.extra_info["best_seconds"] = round(seconds, 6)
+    benchmark.extra_info["gates_per_s"] = round(gates / seconds, 1)
+    emit(
+        "parse_real throughput (wide corpus)",
+        format_table(
+            ["files", "gates", "seconds", "gates/s"],
+            [(len(texts), gates, f"{seconds:.4f}", f"{gates / seconds:.0f}")],
+        ),
     )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.exceptions import GateError
 
@@ -68,6 +69,9 @@ class Control:
         return f"{prefix}x{self.line}"
 
 
+_line_of = attrgetter("line")
+
+
 class Gate(ABC):
     """Abstract base class of all reversible gates."""
 
@@ -109,6 +113,17 @@ class MCTGate(Gate):
     def __post_init__(self) -> None:
         if self.target < 0:
             raise GateError(f"target line must be non-negative, got {self.target}")
+        controls = self.controls
+        lines = {control.line for control in controls}
+        if len(lines) != len(controls) or self.target in lines:
+            self._reject_controls()
+        # Normalise control order so structural equality ignores listing order.
+        # Lines are distinct, so ordering by line alone matches ``Control``'s
+        # (line, positive) order.
+        object.__setattr__(self, "controls", tuple(sorted(controls, key=_line_of)))
+
+    def _reject_controls(self) -> None:
+        """Raise the :class:`GateError` for the first overlapping or repeated line."""
         seen: set[int] = set()
         for control in self.controls:
             if control.line == self.target:
@@ -118,8 +133,6 @@ class MCTGate(Gate):
             if control.line in seen:
                 raise GateError(f"duplicate control on line {control.line}")
             seen.add(control.line)
-        # Normalise control order so structural equality ignores listing order.
-        object.__setattr__(self, "controls", tuple(sorted(self.controls)))
 
     # -- basic structure ---------------------------------------------------
     @property
@@ -133,7 +146,10 @@ class MCTGate(Gate):
 
     @property
     def max_line(self) -> int:
-        return max(self.lines)
+        # Controls are sorted by line, so the last one holds the largest.
+        if self.controls:
+            return max(self.target, self.controls[-1].line)
+        return self.target
 
     @property
     def control_lines(self) -> tuple[int, ...]:

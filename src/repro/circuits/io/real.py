@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.gates import Control, MCTGate, SwapGate, fredkin
-from repro.exceptions import ParseError
+from repro.exceptions import CircuitError, ParseError
 
 __all__ = ["parse_real", "read_real", "write_real", "circuit_to_real"]
 
@@ -41,18 +41,27 @@ __all__ = ["parse_real", "read_real", "write_real", "circuit_to_real"]
 def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
     """Parse the contents of a ``.real`` file into a circuit.
 
+    Every operand of the parse resolves through one table that maps each
+    variable ``v`` and ``-v`` to a :class:`Control`, so all ``t<k>`` gates
+    of one circuit share a single ``Control`` per variable and polarity.
+    Gates are immutable, so the sharing is safe.  The table lives for one
+    call only; nothing is cached across calls or files.
+
     Args:
         text: the file contents.
         name: optional circuit name; defaults to the ``.version`` header or
             ``"real"``.
 
     Raises:
-        ParseError: on any syntactic problem (unknown directives are ignored,
-            unknown gate types are not).
+        ParseError: on any syntactic or structural problem, with the number
+            of the offending line (unknown directives are ignored, unknown
+            gate types are not).  Gate and circuit checks that fail on a
+            parsed line (a repeated operand, ``.numvars 0``) are re-raised
+            as ``ParseError`` chained from the original error.
     """
     variables: list[str] = []
     num_vars: int | None = None
-    circuit: ReversibleCircuit | None = None
+    num_vars_line = 0
     in_body = False
     gates = []
 
@@ -71,8 +80,10 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
                     raise ParseError(
                         f"line {line_number}: invalid .numvars value {rest!r}"
                     ) from error
+                num_vars_line = line_number
             elif directive == ".variables":
                 variables = rest.split()
+                _check_distinct(variables, line_number)
             elif directive == ".begin":
                 in_body = True
             elif directive == ".end":
@@ -96,38 +107,60 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
         raise ParseError(
             f".numvars says {num_vars} but .variables lists {len(variables)} names"
         )
+    try:
+        circuit = ReversibleCircuit(num_vars, name=name or "real")
+    except CircuitError as error:
+        raise ParseError(f"line {num_vars_line}: {error}") from error
 
-    index_of = {variable: index for index, variable in enumerate(variables)}
-    circuit = ReversibleCircuit(num_vars, name=name or "real")
-
+    # Negative entries go in last: for a variable literally named ``-a``,
+    # the operand ``-a`` still means "a, negated".
+    table = {variable: Control(index) for index, variable in enumerate(variables)}
+    table.update(
+        ("-" + variable, Control(index, False))
+        for index, variable in enumerate(variables)
+    )
     for line_number, line in gates:
-        tokens = line.split()
-        mnemonic, operands = tokens[0].lower(), tokens[1:]
-        _append_gate(circuit, mnemonic, operands, index_of, line_number)
+        mnemonic, *operands = line.split()
+        try:
+            _append_gate(circuit, mnemonic.lower(), operands, table, line_number)
+        except CircuitError as error:  # GateError included
+            raise ParseError(f"line {line_number}: {error}") from error
     return circuit
 
 
+def _check_distinct(variables: Sequence[str], line_number: int) -> None:
+    """Reject a ``.variables`` list that names a variable twice."""
+    seen: set[str] = set()
+    for variable in variables:
+        if variable in seen:
+            raise ParseError(
+                f"line {line_number}: duplicate variable {variable!r} in .variables"
+            )
+        seen.add(variable)
+
+
 def _resolve(
-    operand: str, index_of: dict[str, int], line_number: int
-) -> tuple[int, bool]:
-    """Resolve an operand name to (line index, positive polarity)."""
-    positive = True
-    if operand.startswith("-"):
-        positive = False
-        operand = operand[1:]
-    if operand not in index_of:
-        raise ParseError(f"line {line_number}: unknown variable {operand!r}")
-    return index_of[operand], positive
+    operands: Sequence[str], table: dict[str, Control], line_number: int
+) -> list[Control]:
+    """Look every operand up in the parse's ``name``/``-name`` table."""
+    try:
+        return [table[operand] for operand in operands]
+    except KeyError:
+        unknown = next(operand for operand in operands if operand not in table)
+        raise ParseError(
+            f"line {line_number}: unknown variable {unknown.removeprefix('-')!r}"
+        ) from None
 
 
 def _append_gate(
     circuit: ReversibleCircuit,
     mnemonic: str,
     operands: Sequence[str],
-    index_of: dict[str, int],
+    table: dict[str, Control],
     line_number: int,
 ) -> None:
-    if not mnemonic or mnemonic[0] not in "tf":
+    kind = mnemonic[0]
+    if kind not in "tf":
         raise ParseError(f"line {line_number}: unsupported gate type {mnemonic!r}")
     try:
         arity = int(mnemonic[1:])
@@ -140,37 +173,32 @@ def _append_gate(
             f"line {line_number}: gate {mnemonic} expects {arity} operands, "
             f"got {len(operands)}"
         )
+    resolved = _resolve(operands, table, line_number)
 
-    if mnemonic[0] == "t":
-        *control_names, target_name = operands
-        target, target_positive = _resolve(target_name, index_of, line_number)
-        if not target_positive:
+    if kind == "t":
+        if not resolved:
+            raise ParseError(f"line {line_number}: t gates need at least 1 operand")
+        *controls, target = resolved
+        if not target.positive:
             raise ParseError(f"line {line_number}: target cannot be negated")
-        controls = tuple(
-            Control(*_resolve(operand, index_of, line_number))
-            for operand in control_names
-        )
-        circuit.append(MCTGate(controls, target))
+        circuit.append(MCTGate(tuple(controls), target.line))
         return
 
     # Fredkin family: the last two operands are swapped, the rest control.
     if arity < 2:
         raise ParseError(f"line {line_number}: f gates need at least 2 operands")
-    *control_names, name_a, name_b = operands
-    line_a, positive_a = _resolve(name_a, index_of, line_number)
-    line_b, positive_b = _resolve(name_b, index_of, line_number)
-    if not (positive_a and positive_b):
+    *controls, swap_a, swap_b = resolved
+    if not (swap_a.positive and swap_b.positive):
         raise ParseError(f"line {line_number}: swapped lines cannot be negated")
-    if not control_names:
-        circuit.append(SwapGate(line_a, line_b))
+    if not controls:
+        circuit.append(SwapGate(swap_a.line, swap_b.line))
         return
-    if len(control_names) == 1:
-        control, positive = _resolve(control_names[0], index_of, line_number)
-        if not positive:
+    if len(controls) == 1:
+        if not controls[0].positive:
             raise ParseError(
                 f"line {line_number}: negative Fredkin controls are unsupported"
             )
-        circuit.extend(fredkin(control, line_a, line_b))
+        circuit.extend(fredkin(controls[0].line, swap_a.line, swap_b.line))
         return
     raise ParseError(
         f"line {line_number}: Fredkin gates with more than one control are "

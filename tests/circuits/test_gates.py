@@ -93,6 +93,19 @@ class TestMCTGate:
         assert gate.lines == frozenset({0, 3, 5})
         assert gate.max_line == 5
 
+    def test_max_line_and_sorted_controls_for_shuffled_inputs(self, rng):
+        for _ in range(200):
+            num_lines = rng.randint(1, 12)
+            lines = rng.sample(range(num_lines), rng.randint(1, num_lines))
+            target, control_lines = lines[0], lines[1:]
+            controls = [
+                Control(line, bool(rng.getrandbits(1))) for line in control_lines
+            ]
+            rng.shuffle(controls)
+            gate = MCTGate(tuple(controls), target)
+            assert gate.max_line == max(gate.lines)
+            assert gate.controls == tuple(sorted(controls))
+
     def test_remapped(self):
         gate = toffoli(0, 1, 2)
         remapped = gate.remapped([2, 1, 0])
