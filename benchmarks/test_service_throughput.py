@@ -13,9 +13,7 @@ same manifest —
 and the execution *APIs* run the same fixed task batch —
 
 * batch (``Executor.stream`` drained into a list sorted by task index),
-* streaming (``Executor.stream``, the as-completed contract),
-* overlap (:class:`OverlapExecutor`, execution pipelined with the
-  consumer on a background thread).
+* streaming (``Executor.stream``, the as-completed contract).
 
 Four tests are CI gates:
 
@@ -61,7 +59,6 @@ from repro.core.engine import MatchingConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import build_cache
 from repro.service.executor import (
-    OverlapExecutor,
     PairTask,
     ParallelExecutor,
     SerialExecutor,
@@ -183,21 +180,17 @@ def test_streaming_not_slower_than_batch(benchmark, corpus):
     def streaming():
         return list(executor.stream(tasks, config))
 
-    def overlap():
-        return list(OverlapExecutor(buffer_size=8).stream(tasks, config))
-
     # Same-shaped point estimates for the gate; the benchmark fixture
     # additionally records the streaming path in the JSON artifact.
     batch_time = _best_of(3, batch)
     streaming_time = _best_of(3, streaming)
-    overlap_time = _best_of(3, overlap)
     outcomes = benchmark.pedantic(streaming, rounds=3, iterations=1)
     assert len(outcomes) == len(tasks)
     assert batch_outcomes == outcomes  # identical outcomes, API for API
 
     pairs = len(tasks)
     emit(
-        "execution API throughput: batch vs streaming vs overlap",
+        "execution API throughput: batch vs streaming",
         format_table(
             ["api", "pairs", "seconds", "pairs/s"],
             [
@@ -205,7 +198,6 @@ def test_streaming_not_slower_than_batch(benchmark, corpus):
                 for label, seconds in (
                     ("batch", batch_time),
                     ("streaming", streaming_time),
-                    ("overlap", overlap_time),
                 )
             ],
         ),

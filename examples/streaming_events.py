@@ -10,13 +10,11 @@ walks the surface:
 2. run the same manifest through ``run_manifest`` with stock observers
    attached — a progress line every 4 pairs, a JSONL event log and an
    in-memory stats counter,
-3. overlap execution with store writes via ``OverlapExecutor``,
-4. split the corpus into 3 shards (a deterministic SHA-256 partition by
+3. split the corpus into 3 shards (a deterministic SHA-256 partition by
    pair id), run each shard separately, then ``merge_stores`` the shard
    stores — and check the merged store is byte-identical to the
    unsharded run's, seeds and query counts included,
-5. stream per-entry results out of the core engine itself with
-   ``match_many(on_entry=...)``.
+4. stream in-memory pairs (no manifest) with ``stream_pairs``.
 
 Run with:  python examples/streaming_events.py
 """
@@ -27,12 +25,11 @@ import tempfile
 from pathlib import Path
 
 from repro.circuits.random import random_circuit
-from repro.core import EquivalenceType, MatchingEngine
+from repro.core import EquivalenceType
 from repro.core.verify import make_instance
 from repro.service import (
     EventLogObserver,
     MatchingService,
-    OverlapExecutor,
     ProgressObserver,
     RunCompleted,
     StatsObserver,
@@ -72,14 +69,7 @@ def main() -> None:
     print(f"stats: {stats.as_dict()}")
     print(f"event log: {(root / 'events.jsonl').stat().st_size} bytes")
 
-    # 3. Overlap execution with store writes.
-    overlap_store = root / "overlap.jsonl"
-    overlap = MatchingService(executor=OverlapExecutor()).run_manifest(
-        corpus, store_path=overlap_store, seed=7
-    )
-    print(f"\noverlap: {overlap.summary()}")
-
-    # 4. Sharded runs merge byte-identically to the unsharded store.
+    # 3. Sharded runs merge byte-identically to the unsharded store.
     full_store = root / "full.jsonl"
     MatchingService().run_manifest(corpus, store_path=full_store, seed=7)
     shard_stores = []
@@ -96,8 +86,8 @@ def main() -> None:
     print(f"merged {count} records; byte-identical to unsharded run: {identical}")
     assert identical
 
-    # 5. The same streaming idea one level down: the engine's callback.
-    print("\n-- engine on_entry --")
+    # 4. In-memory pairs stream the same events, ids pair-0000 onwards.
+    print("\n-- in-memory pairs --")
     import random
 
     rng = random.Random(3)
@@ -105,15 +95,13 @@ def main() -> None:
     pairs = [
         make_instance(base, EquivalenceType.I_N, rng)[:2] for _ in range(3)
     ]
-    MatchingEngine().match_many(
-        pairs,
-        equivalence="I-N",
-        rng=5,
-        on_entry=lambda entry: print(
-            f"  pair {entry.index}: {entry.matcher} "
-            f"({entry.result.queries} queries)"
-        ),
-    )
+    for event in MatchingService().stream_pairs(pairs, equivalence="I-N", seed=5):
+        if isinstance(event, TaskCompleted):
+            record = event.record
+            print(
+                f"  {record['pair_id']}: {record['matcher']} "
+                f"({record['result']['queries']} queries)"
+            )
 
 
 if __name__ == "__main__":

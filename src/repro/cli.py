@@ -19,11 +19,11 @@ reaches for most often without writing Python:
   ``manifest.json``) across equivalence classes and problem families;
 * ``repro run MANIFEST`` — execute a corpus manifest through the
   streaming :class:`~repro.service.MatchingService` pipeline, with
-  ``--workers`` (process-pool parallelism), ``--overlap`` (pipeline
-  execution with store writes), ``--cache``/``--cache-dir`` (result reuse
-  across pairs and runs), ``--resume`` (skip pairs already in the JSONL
-  result store), ``--shard i/n`` (run one deterministic partition of the
-  manifest), ``--progress`` (a progress line per N finished pairs),
+  ``--workers`` (process-pool parallelism), ``--cache``/``--cache-dir``
+  (result reuse across pairs and runs), ``--resume`` (skip pairs already
+  in the JSONL result store), ``--shard i/n`` (run one deterministic
+  partition of the manifest), ``--progress`` (a progress line per N
+  finished pairs),
   ``--events`` (JSONL lifecycle-event log), ``--metrics`` (write a
   ``repro-metrics/v1`` snapshot of the run's counters) and ``--trace``
   (JSONL span log following each pair through the pipeline);
@@ -38,8 +38,8 @@ reaches for most often without writing Python:
 * ``repro cache-server`` — serve a shared result cache over the
   ``repro-cache/v1`` protocol of ``docs/remote-cache.md``; runs mount it
   behind their local tiers with ``--remote-cache ADDR``;
-* ``repro serve`` — run the long-lived matching daemon (one warm engine
-  and shared result cache across many submissions) on a Unix or TCP
+* ``repro serve`` — run the long-lived matching daemon (one process and
+  shared result cache across many submissions) on a Unix or TCP
   socket, speaking the ``repro-daemon/v1`` protocol of ``docs/protocol.md``;
 * ``repro submit`` — submit a corpus manifest (or ad-hoc ``--pair``\\ s) to
   a running daemon, optionally waiting with the same ``--progress`` /
@@ -90,11 +90,7 @@ from repro.service.events import (
     ProgressObserver,
     RunCompleted,
 )
-from repro.service.executor import (
-    OverlapExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-)
+from repro.service.executor import ParallelExecutor, SerialExecutor
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMES,
     pair_key,
@@ -335,8 +331,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         executor = ParallelExecutor(workers=args.workers)
     else:
         executor = SerialExecutor(metrics=metrics)
-    if args.overlap:
-        executor = OverlapExecutor(executor)
     shard = parse_shard(args.shard) if args.shard is not None else None
     observers, event_log = _watch_observers(args)
     service = MatchingService(
@@ -517,11 +511,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             memory_size=args.cache_size,
             disk_dir=args.cache_dir,
         )
-    inner = (
-        ParallelExecutor(workers=args.workers)
-        if args.workers > 1
-        else SerialExecutor(persistent_engine=True)
-    )
+    # None lets the daemon build its own serial executor, bound to the
+    # metrics registry its `metrics` op reports.
+    executor = ParallelExecutor(workers=args.workers) if args.workers > 1 else None
     if args.socket is None and args.host is None:
         args.socket = str(Path(args.store_dir) / "daemon.sock")
     token = None
@@ -541,7 +533,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache=cache,
-        executor=OverlapExecutor(inner),
+        executor=executor,
         verify=args.verify,
         max_queued=args.max_queued,
         auth_token=token,
@@ -943,10 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size (1 = serial, the default)",
     )
     runner.add_argument(
-        "--overlap", action="store_true",
-        help="pipeline execution with store writes on a background thread",
-    )
-    runner.add_argument(
         "--store", metavar="PATH",
         help="JSONL result store to stream records to (required for --resume)",
     )
@@ -1199,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the long-lived matching daemon",
         description=(
-            "Starts a matching daemon: one warm engine and one shared "
+            "Starts a matching daemon: one process and one shared "
             "result cache serve every submission, so repeated pairs cost "
             "zero oracle queries across clients.  Speaks the newline-"
             "delimited JSON protocol repro-daemon/v1 (docs/protocol.md) "
@@ -1242,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="process-pool size per run (1 = serial with a warm engine)",
+        help="process-pool size per run (1 = serial, the default)",
     )
     server.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",

@@ -15,7 +15,9 @@ mirrors it with a declarative dispatch layer:
   :class:`MatchingConfig`, with ``engine.match`` (one pair),
   ``engine.solve`` (a :class:`MatchingProblem`) and ``engine.match_many``
   (batch matching with cached oracle coercion and a :class:`BatchReport` of
-  per-pair witnesses plus aggregate query statistics).
+  per-pair witnesses plus aggregate query statistics).  The core never
+  caches results, streams or stores: that is
+  :class:`repro.service.MatchingService`, one layer up.
 * :func:`match` — the historical entry point, kept as a thin wrapper over a
   shared default engine.
 

@@ -9,7 +9,9 @@ A configured front door to the capability-based matcher registry:
   and exposes :meth:`~MatchingEngine.match` (one pair),
   :meth:`~MatchingEngine.solve` (a declarative
   :class:`~repro.core.problem.MatchingProblem`), and
-  :meth:`~MatchingEngine.match_many` — the batch API;
+  :meth:`~MatchingEngine.match_many` — the in-process batch API (result
+  caching, streaming and stores live in
+  :class:`repro.service.pipeline.MatchingService`);
 * :class:`BatchReport` / :class:`BatchEntry` — per-pair witnesses plus
   aggregate classical/quantum query accounting, rendered through
   :mod:`repro.analysis.report` so batch output and the benchmark harness
@@ -106,9 +108,6 @@ class BatchEntry:
         error: ``"ExceptionName: message"`` when the matcher failed.
         matcher: name of the registry entry that ran (when resolution
             succeeded).
-        cached: the result was served from a result cache instead of
-            running a matcher (no oracle queries were spent on it in this
-            batch; the query counts are those of the original run).
     """
 
     index: int
@@ -116,7 +115,6 @@ class BatchEntry:
     result: MatchingResult | None
     error: str | None = None
     matcher: str | None = None
-    cached: bool = False
 
     @property
     def matched(self) -> bool:
@@ -130,12 +128,10 @@ class BatchReport:
 
     Per-pair witnesses live in :attr:`entries`; the properties aggregate the
     classical/quantum query accounting across the batch for
-    :mod:`repro.analysis`-style reporting.  Aggregates count the queries
-    *this batch spent*: a pair whose matcher raised (budget exhausted,
-    promise violation) has no :class:`~repro.core.problem.MatchingResult`
-    to read counts from, and a cache-hit entry built no oracles at all —
-    its result still carries the original run's counts per pair, but they
-    are excluded from the batch totals.
+    :mod:`repro.analysis`-style reporting.  Aggregates sum the matched
+    pairs: a pair whose matcher raised (budget exhausted, promise
+    violation) has no :class:`~repro.core.problem.MatchingResult` to read
+    counts from.
 
     Attributes:
         entries: one :class:`BatchEntry` per submitted pair, in order.
@@ -163,35 +159,24 @@ class BatchReport:
         return self.num_pairs - self.num_matched
 
     @property
-    def cache_hits(self) -> int:
-        """Number of pairs served from a result cache."""
-        return sum(1 for entry in self.entries if entry.cached)
-
-    @property
     def classical_queries(self) -> int:
-        """Classical oracle queries spent by this batch (cache hits excluded)."""
+        """Classical oracle queries spent by this batch."""
         return sum(
-            entry.result.queries
-            for entry in self.entries
-            if entry.result and not entry.cached
+            entry.result.queries for entry in self.entries if entry.result
         )
 
     @property
     def quantum_queries(self) -> int:
-        """Quantum oracle queries spent by this batch (cache hits excluded)."""
+        """Quantum oracle queries spent by this batch."""
         return sum(
-            entry.result.quantum_queries
-            for entry in self.entries
-            if entry.result and not entry.cached
+            entry.result.quantum_queries for entry in self.entries if entry.result
         )
 
     @property
     def swap_tests(self) -> int:
-        """Swap tests performed by this batch (cache hits excluded)."""
+        """Swap tests performed by this batch."""
         return sum(
-            entry.result.swap_tests
-            for entry in self.entries
-            if entry.result and not entry.cached
+            entry.result.swap_tests for entry in self.entries if entry.result
         )
 
     @property
@@ -218,7 +203,7 @@ class BatchReport:
                         entry.index,
                         entry.equivalence.label,
                         entry.matcher or "-",
-                        "cached" if entry.cached else "ok",
+                        "ok",
                         entry.result.queries,
                         entry.result.quantum_queries,
                     )
@@ -249,15 +234,12 @@ class BatchReport:
 
     def summary(self) -> str:
         """One-line aggregate: matched count and query totals."""
-        text = (
+        return (
             f"{self.num_matched}/{self.num_pairs} matched, "
             f"{self.classical_queries} classical + "
             f"{self.quantum_queries} quantum queries "
             f"({self.swap_tests} swap tests)"
         )
-        if self.cache_hits:
-            text += f", {self.cache_hits} from cache"
-        return text
 
 
 class MatchingEngine:
@@ -493,11 +475,12 @@ class MatchingEngine:
         *,
         equivalence: EquivalenceType | str | None = None,
         rng: _random.Random | int | None = None,
-        stop_on_error: bool = False,
-        result_cache=None,
-        on_entry=None,
     ) -> BatchReport:
         """Match a batch of circuit pairs and aggregate query statistics.
+
+        Caching, streaming and result stores live one layer up, in
+        :class:`repro.service.pipeline.MatchingService`; this is the plain
+        in-process batch the service's executors run each task through.
 
         Args:
             pairs: an iterable of ``(circuit1, circuit2)`` or
@@ -505,28 +488,13 @@ class MatchingEngine:
                 equivalence wins over the batch-wide one.
             equivalence: batch-wide default class for 2-tuples.
             rng: randomness shared by the whole batch.
-            stop_on_error: re-raise the first matcher failure instead of
-                recording it as a failed entry.
-            result_cache: optional cross-batch result cache.  Any object
-                with ``lookup(circuit1, circuit2, equivalence, config)``
-                returning ``(MatchingResult, matcher_name) | None`` and
-                ``store(circuit1, circuit2, equivalence, config, result,
-                matcher)`` — the engine stays ignorant of keying, which
-                lives with the cache (see
-                :class:`repro.service.cache.EngineCacheAdapter`).  A hit
-                skips dispatch entirely: no oracles are built and no
-                queries are spent; the entry is flagged ``cached``.
-            on_entry: optional per-entry callback, invoked with each
-                :class:`BatchEntry` (matched, failed or cached alike) the
-                moment it is settled, so a caller sees results while
-                later pairs are still matching — the core-layer streaming
-                hook for progress reporting over large batches.
 
         Returns:
             A :class:`BatchReport` with one :class:`BatchEntry` per pair
             plus aggregate classical/quantum query totals over the matched
-            pairs.  Oracle coercion is cached for the duration of the call,
-            so a circuit appearing in many pairs is wrapped (and its
+            pairs.  A matcher failure is recorded as a failed entry, not
+            raised.  Oracle coercion is cached for the duration of the
+            call, so a circuit appearing in many pairs is wrapped (and its
             inverse materialised) only once — unless a query budget is
             configured, in which case every pair gets fresh oracles so the
             budget applies per pair.
@@ -536,28 +504,6 @@ class MatchingEngine:
         cache: dict = {}
         entries: list[BatchEntry] = []
         metrics = self._metrics
-
-        def settle(entry: BatchEntry) -> None:
-            entries.append(entry)
-            if metrics is not None:
-                status = (
-                    "cached"
-                    if entry.cached
-                    else ("ok" if entry.matched else "failed")
-                )
-                metrics.counter("repro_engine_pairs_total").inc(status=status)
-                if entry.matched and not entry.cached:
-                    if entry.result.queries:
-                        metrics.counter("repro_engine_queries_total").inc(
-                            entry.result.queries, kind="classical"
-                        )
-                    if entry.result.quantum_queries:
-                        metrics.counter("repro_engine_queries_total").inc(
-                            entry.result.quantum_queries, kind="quantum"
-                        )
-            if on_entry is not None:
-                on_entry(entry)
-
         for index, pair in enumerate(pairs):
             if len(pair) == 3:
                 circuit1, circuit2, pair_equivalence = pair
@@ -576,22 +522,6 @@ class MatchingEngine:
                 )
             if isinstance(pair_equivalence, str):
                 pair_equivalence = EquivalenceType.from_label(pair_equivalence)
-            if result_cache is not None:
-                hit = result_cache.lookup(
-                    circuit1, circuit2, pair_equivalence, self._config
-                )
-                if hit is not None:
-                    cached_result, cached_matcher = hit
-                    settle(
-                        BatchEntry(
-                            index=index,
-                            equivalence=pair_equivalence,
-                            result=cached_result,
-                            matcher=cached_matcher,
-                            cached=True,
-                        )
-                    )
-                    continue
             matcher_name: str | None = None
             dispatch_started = time.perf_counter()
             try:
@@ -601,39 +531,37 @@ class MatchingEngine:
                 matcher_name = spec.name
                 result = spec(oracle1, oracle2, problem, ctx)
             except ReproError as error:
-                if stop_on_error:
-                    raise
-                settle(
-                    BatchEntry(
-                        index=index,
-                        equivalence=pair_equivalence,
-                        result=None,
-                        error=f"{type(error).__name__}: {error}",
-                        matcher=matcher_name,
-                    )
+                entry = BatchEntry(
+                    index=index,
+                    equivalence=pair_equivalence,
+                    result=None,
+                    error=f"{type(error).__name__}: {error}",
+                    matcher=matcher_name,
                 )
             else:
+                entry = BatchEntry(
+                    index=index,
+                    equivalence=pair_equivalence,
+                    result=result,
+                    matcher=matcher_name,
+                )
                 if metrics is not None:
                     metrics.histogram("repro_engine_match_seconds").observe(
                         time.perf_counter() - dispatch_started
                     )
-                if result_cache is not None:
-                    result_cache.store(
-                        circuit1,
-                        circuit2,
-                        pair_equivalence,
-                        self._config,
-                        result,
-                        matcher_name,
-                    )
-                settle(
-                    BatchEntry(
-                        index=index,
-                        equivalence=pair_equivalence,
-                        result=result,
-                        matcher=matcher_name,
-                    )
+                    if result.queries:
+                        metrics.counter("repro_engine_queries_total").inc(
+                            result.queries, kind="classical"
+                        )
+                    if result.quantum_queries:
+                        metrics.counter("repro_engine_queries_total").inc(
+                            result.quantum_queries, kind="quantum"
+                        )
+            if metrics is not None:
+                metrics.counter("repro_engine_pairs_total").inc(
+                    status="ok" if entry.matched else "failed"
                 )
+            entries.append(entry)
         return BatchReport(entries=tuple(entries), coerced_oracles=len(cache))
 
     # -- reconfiguration -------------------------------------------------------

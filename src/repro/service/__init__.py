@@ -8,20 +8,20 @@ for corpora:
   strategy registry (:class:`FingerprintRegistry`): exact truth-table
   digests up to a width limit, width-independent sampled-probe digests
   beyond, gate-structure digests as the last resort.
-* :mod:`repro.service.cache` — LRU in-memory and on-disk result caches
-  plus :class:`EngineCacheAdapter`, the bridge into
-  :meth:`MatchingEngine.match_many`'s ``result_cache`` hook.
+* :mod:`repro.service.cache` — LRU in-memory, on-disk and tiered result
+  caches, keyed only by :class:`MatchingService` (``pair_key``).
 * :mod:`repro.service.executor` — pluggable execution backends exposing
   the as-completed :meth:`Executor.stream` contract with deterministic
-  per-pair seeding (serial / process-pool parallel / overlap, all
-  byte-identical per task).
+  per-pair seeding (serial / process-pool parallel, byte-identical per
+  task).
 * :mod:`repro.service.events` — the typed lifecycle events a run streams
   (``RunStarted`` ... ``RunCompleted``) and the pluggable ``Observer``
   protocol with progress / JSONL-log / stats implementations.
 * :mod:`repro.service.workload` — corpus generation across the 16
   equivalence classes (random, library and adversarial near-miss
   families) with a JSON manifest format.
-* :mod:`repro.service.pipeline` — :class:`MatchingService`, whose
+* :mod:`repro.service.pipeline` — :class:`MatchingService`, the one
+  batch layer that caches, streams and stores: its
   :meth:`~MatchingService.stream` generator is the primitive (cache +
   executor + engine + JSONL store as an event stream), with
   ``run_manifest``/``match_pairs`` as thin consumers; shard-aware runs
@@ -29,14 +29,14 @@ for corpora:
 * :mod:`repro.service.serialize` — the JSON form of matching results
   shared by cache, store and executor.
 * :mod:`repro.service.daemon` — the long-lived front end:
-  :class:`MatchingDaemon` keeps one warm engine and one shared cache
+  :class:`MatchingDaemon` keeps one process and one shared cache
   alive across many submissions behind a newline-delimited JSON socket
   protocol (``repro-daemon/v1``), with :class:`DaemonClient` as the
   Python/CLI counterpart; every submission streams into its own JSONL
   result store, so daemon runs resume and merge like CLI runs.
 
 The CLI surfaces this as ``repro corpus`` (generate), ``repro run``
-(execute, with ``--workers``, ``--overlap``, ``--cache-dir``,
+(execute, with ``--workers``, ``--cache-dir``,
 ``--resume``, ``--shard i/n``, ``--progress`` and ``--events``),
 ``repro merge`` (union shard stores), and the daemon quartet ``repro
 serve`` / ``repro submit`` / ``repro watch`` / ``repro daemon``
@@ -61,7 +61,6 @@ from repro.service.daemon import (
 from repro.service.cache import (
     CacheStats,
     DiskCache,
-    EngineCacheAdapter,
     LRUCache,
     ResultCache,
     TieredCache,
@@ -86,7 +85,6 @@ from repro.service.events import (
 )
 from repro.service.executor import (
     Executor,
-    OverlapExecutor,
     PairTask,
     ParallelExecutor,
     SerialExecutor,
@@ -165,7 +163,6 @@ __all__ = [
     "TieredCache",
     "build_cache",
     "migrate_cache",
-    "EngineCacheAdapter",
     # events
     "ServiceEvent",
     "RunStarted",
@@ -191,7 +188,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "OverlapExecutor",
     "PairTask",
     "TaskOutcome",
     "derive_seed",

@@ -1,17 +1,12 @@
-"""Result caches: in-memory LRU, on-disk store, and the engine adapter.
+"""Result caches: in-memory LRU, on-disk store and the tiers over them.
 
 Caches map a :func:`~repro.service.fingerprint.pair_key` to a JSON record
 ``{"key": ..., "matcher": ..., "result": result_to_dict(...)}``.  Keeping
 the value a plain JSON dict (rather than a live ``MatchingResult``) means
 the memory tier, the disk tier and the JSONL run store all share one
 format, and a cached entry read back from disk is byte-for-byte the entry
-that was written.
-
-:class:`EngineCacheAdapter` packages a cache behind the duck-typed
-``lookup``/``store`` protocol that
-:meth:`repro.core.engine.MatchingEngine.match_many` consults, computing
-fingerprint keys on the engine's behalf so the core layer stays ignorant
-of keying.
+that was written.  Caches never compute keys: the one caller that
+forms them is :class:`repro.service.pipeline.MatchingService`.
 """
 
 from __future__ import annotations
@@ -26,19 +21,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.engine import MatchingConfig
-from repro.core.equivalence import EquivalenceType
-from repro.core.problem import MatchingResult
-from repro.exceptions import FingerprintError, ServiceError
-from repro.service import serialize
-from repro.service.fingerprint import (
-    FUNCTIONAL_WIDTH_LIMIT,
-    KEY_PREFIX,
-    FingerprintRegistry,
-    pair_key,
-    registry_for_config,
-    scheme_label,
-)
+from repro.exceptions import ServiceError
+from repro.service.fingerprint import KEY_PREFIX, scheme_label
 
 __all__ = [
     "CacheStats",
@@ -48,7 +32,6 @@ __all__ = [
     "TieredCache",
     "build_cache",
     "migrate_cache",
-    "EngineCacheAdapter",
 ]
 
 
@@ -423,107 +406,3 @@ def migrate_cache(
             path.unlink(missing_ok=True)
             counts["dropped"] += 1
     return counts
-
-
-@dataclass
-class EngineCacheAdapter:
-    """Bridge a :class:`ResultCache` to the engine's ``result_cache`` hook.
-
-    Implements the ``lookup``/``store`` protocol documented on
-    :meth:`repro.core.engine.MatchingEngine.match_many`: fingerprints the
-    pair, derives the :func:`~repro.service.fingerprint.pair_key`, and
-    (de)serialises results at the boundary.  Unfingerprintable inputs
-    (opaque wide oracles under the ``exact`` scheme) silently bypass the
-    cache — correctness never depends on a hit.
-
-    Attributes:
-        cache: the backing store.
-        width_limit: functional-fingerprint width cutoff (only consulted
-            when no explicit registry is injected).
-        registry: the :class:`~repro.service.fingerprint.FingerprintRegistry`
-            keys are computed with; ``None`` derives one per lookup from
-            the config's fingerprint knobs (cheap — far below the cost of
-            the digests it computes).
-    """
-
-    cache: ResultCache
-    width_limit: int = FUNCTIONAL_WIDTH_LIMIT
-    registry: FingerprintRegistry | None = None
-
-    def __post_init__(self) -> None:
-        # One-slot memo bridging the engine's lookup -> store round trip:
-        # on a miss the engine calls both for the same pair back to back,
-        # and each key computation tabulates two truth tables.  `lookup`
-        # fills the slot, `store` consumes it, so the memo never outlives
-        # one pair — a circuit mutated in place between batches can never
-        # be served a stale key.  The strong references pin the circuits'
-        # id()s against recycling while the slot is live.
-        self._pending: tuple[tuple, str] | None = None
-
-    def key_for(
-        self,
-        circuit1,
-        circuit2,
-        equivalence: EquivalenceType,
-        config: MatchingConfig,
-    ) -> str:
-        """The cache key this adapter uses for a pair (raises on unsupported input)."""
-        registry = self.registry
-        if registry is None:
-            registry = registry_for_config(config, self.width_limit)
-        fp1 = registry.fingerprint(circuit1, with_inverse=config.with_inverse)
-        fp2 = registry.fingerprint(circuit2, with_inverse=config.with_inverse)
-        return pair_key(fp1, fp2, equivalence, config)
-
-    def _pending_key(
-        self, circuit1, circuit2, equivalence, config
-    ) -> str | None:
-        if self._pending is None:
-            return None
-        (c1, c2, eq, cfg), key = self._pending
-        self._pending = None
-        if c1 is circuit1 and c2 is circuit2 and eq is equivalence and cfg == config:
-            return key
-        return None
-
-    def lookup(
-        self,
-        circuit1,
-        circuit2,
-        equivalence: EquivalenceType,
-        config: MatchingConfig,
-    ) -> tuple[MatchingResult, str | None] | None:
-        """Return ``(result, matcher_name)`` on a hit, ``None`` otherwise."""
-        try:
-            key = self.key_for(circuit1, circuit2, equivalence, config)
-        except FingerprintError:
-            return None
-        self._pending = ((circuit1, circuit2, equivalence, config), key)
-        record = self.cache.get(key)
-        if record is None or record.get("result") is None:
-            # Failure records (stored by the service pipeline) have no
-            # result; the engine hook has no failure channel, so they read
-            # as misses and the pair is simply re-dispatched.
-            return None
-        return serialize.result_from_dict(record["result"]), record.get("matcher")
-
-    def store(
-        self,
-        circuit1,
-        circuit2,
-        equivalence: EquivalenceType,
-        config: MatchingConfig,
-        result: MatchingResult,
-        matcher: str | None = None,
-    ) -> None:
-        """Record a freshly computed result (no-op on unfingerprintable input)."""
-        key = self._pending_key(circuit1, circuit2, equivalence, config)
-        if key is None:
-            try:
-                key = self.key_for(circuit1, circuit2, equivalence, config)
-            except FingerprintError:
-                return
-        self.cache.put(
-            key,
-            {"matcher": matcher, "result": serialize.result_to_dict(result)},
-        )

@@ -1,14 +1,14 @@
-"""The long-lived matching daemon: one warm engine and cache, many runs.
+"""The long-lived matching daemon: one process and cache, many runs.
 
-Every ``repro run`` so far has been a one-shot process — import, build an
-engine, fill a cache, exit, repeat.  :class:`MatchingDaemon` keeps all of
-that alive: a single server process owns one warm
-:class:`~repro.core.engine.MatchingEngine` (via a persistent
-:class:`~repro.service.executor.SerialExecutor` inside an
-:class:`~repro.service.executor.OverlapExecutor`) and one shared
-:class:`~repro.service.cache.ResultCache` across arbitrarily many
+Every ``repro run`` is a one-shot process — import, fill a cache, exit,
+repeat.  :class:`MatchingDaemon` keeps a single server process (imports,
+matcher registry, metrics) and one shared
+:class:`~repro.service.cache.ResultCache` alive across arbitrarily many
 submissions, so concurrent clients benefit from each other's work instead
-of re-fingerprinting the same pairs.
+of re-running the same pairs.  Each run goes through an ordinary
+:class:`~repro.service.pipeline.MatchingService`, by default on a
+:class:`~repro.service.executor.SerialExecutor` that feeds the daemon's
+metrics registry.
 
 The wire protocol (``repro-daemon/v1``, specified in
 ``docs/protocol.md``) is newline-delimited JSON over a Unix or TCP
@@ -56,7 +56,7 @@ from repro.exceptions import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache, TieredCache, build_cache
 from repro.service.events import Observer, event_from_dict
-from repro.service.executor import Executor, OverlapExecutor, SerialExecutor
+from repro.service.executor import Executor, SerialExecutor
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
 from repro.service.workload import MANIFEST_NAME
 from repro.wire import WireClient, WireServer
@@ -315,11 +315,10 @@ class MatchingDaemon(WireServer):
             :func:`~repro.service.cache.build_cache` with the cache
             persisted under ``store_dir/cache``.  Pass ``None`` explicitly
             to run without a result cache.
-        executor: execution backend; defaults to an
-            :class:`~repro.service.executor.OverlapExecutor` around a
-            persistent-engine :class:`~repro.service.executor.SerialExecutor`,
-            so store writes overlap execution and the engine stays warm
-            across submissions.
+        executor: execution backend; defaults to a
+            :class:`~repro.service.executor.SerialExecutor` bound to the
+            daemon's metrics registry, so the ``metrics`` op reports the
+            ``repro_engine_*`` series.
         verify: exhaustively verify witnesses of freshly executed pairs.
         remote_cache: a ``repro-cache/v1`` cache-server address
             (``unix:<path>`` / ``tcp:<host>:<port>``, see
@@ -389,9 +388,7 @@ class MatchingDaemon(WireServer):
         if self._cache is not None:
             self._cache.bind_metrics(self._metrics)
         if executor is None:
-            executor = OverlapExecutor(
-                SerialExecutor(persistent_engine=True, metrics=self._metrics)
-            )
+            executor = SerialExecutor(metrics=self._metrics)
         self._executor = executor
         self._verify = verify
         if remote_cache is not None:

@@ -4,8 +4,8 @@ Executors take an iterable of :class:`PairTask` and a
 :class:`~repro.core.engine.MatchingConfig` and yield one
 :class:`TaskOutcome` per task from :meth:`Executor.stream` in
 *as-completed* order — the streaming contract the service pipeline
-consumes so store writes and observer notifications overlap execution
-instead of waiting for the whole batch.  Two invariants make the
+consumes so store writes and observer notifications interleave with
+execution instead of waiting for the whole batch.  Two invariants make the
 backends interchangeable:
 
 * **Determinism** — each task carries its own RNG seed, derived from the
@@ -16,16 +16,14 @@ backends interchangeable:
   of the stream may differ between backends.
 * **Serialised results** — outcomes carry results as JSON dicts (the
   :mod:`repro.service.serialize` format) rather than live objects, so
-  crossing a process or thread boundary is not observable downstream.
+  crossing a process boundary is not observable downstream.
 
 :class:`SerialExecutor` runs in-process and consumes its task iterable
 lazily (task in, outcome out, one at a time); :class:`ParallelExecutor`
 shards the batch into contiguous chunks over a ``ProcessPoolExecutor``
 (fork start method where the platform offers it — the matcher registry is
 populated at import time and forked workers inherit it for free) and
-yields chunks as they finish; :class:`OverlapExecutor` runs any inner
-executor on a background thread behind a bounded queue, so a consumer
-doing I/O (JSONL store appends) overlaps with oracle execution.
+yields chunks as they finish.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import queue as _queue
-import threading
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator
@@ -51,7 +47,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "OverlapExecutor",
 ]
 
 
@@ -180,12 +175,6 @@ class SerialExecutor(Executor):
     generator of tasks interleaves perfectly with the outcome stream.
 
     Args:
-        persistent_engine: keep one :class:`MatchingEngine` per
-            :class:`MatchingConfig` alive across :meth:`stream` calls
-            instead of building a fresh one per run.  What a long-lived
-            process (the matching daemon) wants: the engine — registry
-            resolution and all — stays warm between submissions.  Off by
-            default so one-shot runs keep their no-shared-state property.
         metrics: optional metrics registry (duck-typed
             :class:`repro.obs.metrics.MetricsRegistry`) handed to every
             engine this executor builds, so engine-level counters
@@ -197,31 +186,23 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def __init__(self, *, persistent_engine: bool = False, metrics=None) -> None:
-        self._persistent = persistent_engine
+    def __init__(self, *, metrics=None) -> None:
         self._metrics = metrics
-        self._engines: dict[MatchingConfig, MatchingEngine] = {}
-
-    def _engine(self, config: MatchingConfig) -> MatchingEngine:
-        if not self._persistent:
-            return MatchingEngine(config, metrics=self._metrics)
-        engine = self._engines.get(config)
-        if engine is None:
-            engine = self._engines[config] = MatchingEngine(
-                config, metrics=self._metrics
-            )
-        return engine
 
     def stream(
         self, tasks: Iterable[PairTask], config: MatchingConfig
     ) -> Iterator[TaskOutcome]:
-        engine = self._engine(config)
+        engine = MatchingEngine(config, metrics=self._metrics)
         for task in tasks:
             yield _execute_task(engine, task)
 
 
 class ParallelExecutor(Executor):
     """Shard tasks into chunks across a process pool, yield as completed.
+
+    Closing the stream early (a consumer that stops at the first
+    outcome, a cancelled daemon run) cancels the chunks no worker has
+    started yet, so the pool shuts down after the chunks in flight.
 
     Args:
         workers: pool size; defaults to the CPU count.
@@ -263,89 +244,12 @@ class ParallelExecutor(Executor):
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        with ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=min(self._workers, len(chunks)), mp_context=context
-        ) as pool:
+        )
+        try:
             futures = [pool.submit(_execute_chunk, chunk, config) for chunk in chunks]
             for future in as_completed(futures):
                 yield from future.result()
-
-
-#: Queue sentinel marking the end of an overlap stream.
-_DONE = object()
-
-
-class OverlapExecutor(Executor):
-    """Pipeline an inner executor with the consumer over a bounded queue.
-
-    A background thread drains ``inner.stream`` into a queue while the
-    caller consumes outcomes from this stream — so the consumer's blocking
-    work (JSONL store appends, observer I/O) overlaps with oracle
-    execution instead of alternating with it.  The queue is bounded, so a
-    slow consumer back-pressures the producer instead of buffering the
-    whole run.
-
-    Outcome order is exactly the inner executor's order; an exception on
-    the producer side (not a matcher failure, which is an outcome — a
-    genuinely broken task) is re-raised in the consumer.
-
-    Args:
-        inner: the executor doing the actual matching; defaults to a
-            :class:`SerialExecutor`.
-        buffer_size: maximum outcomes in flight between the threads.
-    """
-
-    def __init__(self, inner: Executor | None = None, buffer_size: int = 64) -> None:
-        if buffer_size <= 0:
-            raise ValueError(f"buffer size must be positive, got {buffer_size}")
-        self._inner = inner if inner is not None else SerialExecutor()
-        self._buffer_size = buffer_size
-        self.name = f"overlap[{self._inner.name}]"
-
-    @property
-    def inner(self) -> Executor:
-        """The wrapped executor."""
-        return self._inner
-
-    def stream(
-        self, tasks: Iterable[PairTask], config: MatchingConfig
-    ) -> Iterator[TaskOutcome]:
-        outcomes: _queue.Queue = _queue.Queue(maxsize=self._buffer_size)
-        cancelled = threading.Event()
-        failure: list[BaseException] = []
-
-        def produce() -> None:
-            try:
-                for outcome in self._inner.stream(tasks, config):
-                    outcomes.put(outcome)
-                    if cancelled.is_set():
-                        break
-            except BaseException as error:  # noqa: BLE001 - re-raised in consumer
-                failure.append(error)
-            finally:
-                outcomes.put(_DONE)
-
-        producer = threading.Thread(
-            target=produce, name="repro-overlap-producer", daemon=True
-        )
-        producer.start()
-        finished = False
-        try:
-            while True:
-                outcome = outcomes.get()
-                if outcome is _DONE:
-                    finished = True
-                    break
-                yield outcome
         finally:
-            # A consumer that abandons the stream early (break, observer
-            # exception, GeneratorExit) leaves the producer blocked on a
-            # full queue; cancel it and drain to the sentinel so join()
-            # cannot deadlock.  At most one more outcome is computed.
-            cancelled.set()
-            while not finished:
-                if outcomes.get() is _DONE:
-                    finished = True
-            producer.join()
-        if failure:
-            raise failure[0]
+            pool.shutdown(wait=True, cancel_futures=True)

@@ -22,8 +22,8 @@ of one unsharded run.
 
 Records are JSON dicts end to end — the executor, the cache and the
 store all speak :mod:`repro.service.serialize` — so a serial run, a
-4-worker run, an overlap run and a cache replay of the same manifest
-write interchangeable stores.
+4-worker run and a cache replay of the same manifest write
+interchangeable stores.
 """
 
 from __future__ import annotations
@@ -731,8 +731,7 @@ class MatchingService:
         by_position = {unit.position: unit for unit in pending}
         # TaskStarted events are minted as the executor *pulls* tasks (a
         # serial backend pulls one at a time, pooled backends pull ahead)
-        # and relayed before the outcome they precede; a deque because the
-        # overlap executor pulls from a producer thread.
+        # and relayed before the outcome they precede.
         submitted: deque[TaskStarted] = deque()
 
         def tasks() -> Iterator[PairTask]:

@@ -189,46 +189,6 @@ class TestMatchMany:
         assert "UnsupportedEquivalenceError" in failure.error
         assert report.classical_queries == report.entries[0].result.queries
 
-    def test_stop_on_error_reraises(self, rng):
-        base = random_circuit(3, 8, rng)
-        hard1, hard2, _ = make_instance(base, EquivalenceType.P_P, rng)
-        with pytest.raises(UnsupportedEquivalenceError):
-            MatchingEngine().match_many(
-                [(hard1, hard2, EquivalenceType.P_P)], stop_on_error=True
-            )
-
-    def test_on_entry_streams_results_as_they_settle(self, rng):
-        """The per-entry callback sees every entry — matched and failed —
-        in batch order, each before the next pair is dispatched."""
-        base = random_circuit(3, 8, rng)
-        good1, good2, _ = make_instance(base, EquivalenceType.I_N, rng)
-        hard1, hard2, _ = make_instance(base, EquivalenceType.P_P, rng)
-        seen = []
-        report = MatchingEngine().match_many(
-            [
-                (good1, good2, EquivalenceType.I_N),
-                (hard1, hard2, EquivalenceType.P_P),
-            ],
-            on_entry=seen.append,
-        )
-        assert seen == list(report.entries)
-        assert [entry.index for entry in seen] == [0, 1]
-        assert seen[0].matched and not seen[1].matched
-
-    def test_on_entry_fires_for_cache_hits(self, rng):
-        from repro.service.cache import EngineCacheAdapter, LRUCache
-
-        base = random_circuit(4, 14, rng)
-        c1, c2, _ = make_instance(base, EquivalenceType.I_N, rng)
-        adapter = EngineCacheAdapter(LRUCache())
-        engine = MatchingEngine()
-        engine.match_many([(c1, c2, "I-N")], result_cache=adapter)
-        seen = []
-        engine.match_many(
-            [(c1, c2, "I-N")], result_cache=adapter, on_entry=seen.append
-        )
-        assert len(seen) == 1 and seen[0].cached
-
     def test_oracle_coercion_reused_across_pairs(self, rng):
         base = random_circuit(4, 14, rng)
         template = base

@@ -1,4 +1,4 @@
-"""Unit tests for the result caches and the engine cache adapter."""
+"""Unit tests for the result caches and how the service keys them."""
 
 from __future__ import annotations
 
@@ -10,20 +10,18 @@ import pytest
 
 from repro.circuits import library
 from repro.circuits.random import random_circuit
-from repro.core.engine import MatchingConfig, MatchingEngine
+from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
-from repro.core.verify import make_instance
 from repro.exceptions import ServiceError
 from repro.service.cache import (
     DiskCache,
-    EngineCacheAdapter,
     LRUCache,
     TieredCache,
     build_cache,
     migrate_cache,
 )
-from repro.service.fingerprint import build_registry
-from repro.service.serialize import result_to_dict
+from repro.service.fingerprint import pair_key, registry_for_config
+from repro.service.pipeline import MatchingService
 
 
 def _record(tag: str) -> dict:
@@ -165,111 +163,72 @@ class TestTieredCache:
         assert stats.hits + stats.misses == stats.lookups == 2
 
 
-class TestEngineCacheAdapter:
-    def test_store_then_lookup_roundtrip(self, rng):
-        base = random_circuit(4, 12, rng)
-        c1, c2, _ = make_instance(base, EquivalenceType.I_P, rng)
-        config = MatchingConfig()
-        engine = MatchingEngine(config)
-        result = engine.match(c1, c2, EquivalenceType.I_P, rng=3)
+def _key(circuit1, circuit2, equivalence) -> str:
+    """The cache key a default :class:`MatchingService` forms for a pair."""
+    config = MatchingConfig()
+    registry = registry_for_config(config)
+    return pair_key(
+        registry.fingerprint(circuit1, with_inverse=config.with_inverse),
+        registry.fingerprint(circuit2, with_inverse=config.with_inverse),
+        equivalence,
+        config,
+    )
 
-        adapter = EngineCacheAdapter(LRUCache())
-        assert adapter.lookup(c1, c2, EquivalenceType.I_P, config) is None
-        adapter.store(c1, c2, EquivalenceType.I_P, config, result, "i-p/x")
-        hit = adapter.lookup(c1, c2, EquivalenceType.I_P, config)
-        assert hit is not None
-        cached_result, matcher = hit
-        assert matcher == "i-p/x"
-        assert result_to_dict(cached_result) == result_to_dict(result)
-        # A different policy is a different key.
-        assert (
-            adapter.lookup(c1, c2, EquivalenceType.I_P, MatchingConfig(epsilon=0.5))
-            is None
-        )
 
-    def test_mutation_between_batches_is_not_served_a_stale_key(self, rng):
-        # The lookup->store memo must not outlive one pair: mutating a
-        # circuit in place and looking it up again recomputes the key.
+class TestServiceCacheKeys:
+    """Keying behaviour of the one batch layer that caches.
+
+    Covered in ``tests/service/test_pipeline.py`` instead: cold-then-warm
+    replay (``TestWarmCache::test_warm_rerun_executes_nothing``) and an
+    injected fingerprint registry
+    (``TestWideWarmCache::test_injected_registry_overrides_config``).
+    """
+
+    def test_mutated_circuit_is_not_served_a_stale_result(self, rng):
         circuit = random_circuit(4, 8, rng)
-        adapter = EngineCacheAdapter(LRUCache())
-        config = MatchingConfig()
-        engine = MatchingEngine(config)
-        result = engine.match(circuit, circuit.copy(), EquivalenceType.I_I)
-        adapter.lookup(circuit, circuit, EquivalenceType.I_I, config)
-        key_before = adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
-        adapter.store(circuit, circuit, EquivalenceType.I_I, config, result)
+        twin = circuit.copy()
+        service = MatchingService(cache=LRUCache())
+        cold = service.match_pairs([(circuit, twin, "I-I")], seed=1)
+        assert cold.executed == 1
 
-        mutation = random_circuit(4, 1, rng)
-        circuit.append(mutation.gates[0])
-        assert (
-            adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
-            != key_before
-        )
-        assert adapter.lookup(circuit, circuit, EquivalenceType.I_I, config) is None
+        gate = random_circuit(4, 1, rng).gates[0]
+        circuit.append(gate)
+        twin.append(gate)
+        mutated = service.match_pairs([(circuit, twin, "I-I")], seed=1)
+        assert mutated.executed == 1 and mutated.cache_hits == 0
+        assert mutated.records[0]["cache_key"] != cold.records[0]["cache_key"]
 
-    def test_failure_records_read_as_miss(self, rng):
+    def test_failure_records_replay_as_cached_failures(self, rng):
+        circuit = random_circuit(4, 8, rng)
         cache = LRUCache()
-        adapter = EngineCacheAdapter(cache)
-        circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_P, config)
-        cache.put(key, {"matcher": "x", "error": "boom", "result": None})
-        assert adapter.lookup(circuit, circuit, EquivalenceType.I_P, config) is None
-
-    def test_match_many_consults_the_cache(self, rng):
-        base = random_circuit(4, 12, rng)
-        pairs = [
-            make_instance(base, equivalence, rng)[:2] + (equivalence,)
-            for equivalence in (EquivalenceType.I_P, EquivalenceType.P_I)
-        ]
-        engine = MatchingEngine()
-        adapter = EngineCacheAdapter(LRUCache())
-
-        cold = engine.match_many(pairs, rng=5, result_cache=adapter)
-        assert cold.cache_hits == 0 and cold.num_matched == 2
-
-        warm = engine.match_many(pairs, rng=5, result_cache=adapter)
-        assert warm.cache_hits == 2
-        assert all(entry.cached for entry in warm.entries)
-        # Aggregates count queries *spent by this batch*: a fully cached
-        # batch built no oracles, whatever the per-entry results record.
-        assert warm.classical_queries == 0 and warm.quantum_queries == 0
-        assert cold.classical_queries > 0
-        assert [entry.matcher for entry in warm.entries] == [
-            entry.matcher for entry in cold.entries
-        ]
-        assert [result_to_dict(entry.result) for entry in warm.entries] == [
-            result_to_dict(entry.result) for entry in cold.entries
-        ]
-        assert "from cache" in warm.summary()
-        assert "cached" in warm.to_table()
+        cache.put(
+            _key(circuit, circuit, EquivalenceType.I_P),
+            {"matcher": "x", "error": "boom", "result": None},
+        )
+        report = MatchingService(cache=cache).match_pairs(
+            [(circuit, circuit, "I-P")], seed=1
+        )
+        assert report.executed == 0 and report.cache_hits == 1
+        assert report.failed == 1
+        record = report.records[0]
+        assert record["status"] == "cached"
+        assert record["error"] == "boom" and record["result"] is None
 
     def test_wide_pair_is_cacheable_via_probe_fingerprints(self, rng):
-        """v1 stranded wide pairs on structural identity; the probe tier
-        keys them functionally, so a resynthesised representation hits."""
+        """Wide pairs key on probe digests, so a structurally different
+        but functionally equal representation hits."""
         circuit = library.increment(16)
-        adapter = EngineCacheAdapter(LRUCache())
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
-        assert ":probe:" in key
-        # A structurally different but functionally equal representation
-        # computes the same key — the hit v1 could never produce.
         twin = circuit.copy()
         gate = random_circuit(16, 1, rng).gates[0]
         twin.append(gate)
         twin.append(gate)  # self-inverse: applied twice == identity
-        assert (
-            adapter.key_for(twin, twin, EquivalenceType.I_I, config) == key
-        )
-
-    def test_injected_registry_overrides_the_config(self, rng):
-        circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()  # auto: 4 lines would be exact
-        adapter = EngineCacheAdapter(
-            LRUCache(), registry=build_registry("probe")
-        )
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
-        assert ":probe:" in key
+        assert ":probe:" in _key(circuit, circuit, EquivalenceType.I_I)
+        service = MatchingService(cache=LRUCache())
+        cold = service.match_pairs([(circuit, circuit, "I-I")], seed=1)
+        warm = service.match_pairs([(twin, twin, "I-I")], seed=1)
+        assert cold.executed == 1
+        assert warm.executed == 0 and warm.cache_hits == 1
+        assert warm.records[0]["cache_key"] == cold.records[0]["cache_key"]
 
 
 class TestSchemeHitCounters:
@@ -277,10 +236,8 @@ class TestSchemeHitCounters:
         cache = LRUCache()
         narrow = random_circuit(4, 8, rng)
         wide = library.increment(16)
-        adapter = EngineCacheAdapter(cache)
-        config = MatchingConfig()
-        exact_key = adapter.key_for(narrow, narrow, EquivalenceType.I_I, config)
-        probe_key = adapter.key_for(wide, wide, EquivalenceType.I_I, config)
+        exact_key = _key(narrow, narrow, EquivalenceType.I_I)
+        probe_key = _key(wide, wide, EquivalenceType.I_I)
         for key in (exact_key, probe_key):
             cache.put(key, _record("x"))
             cache.get(key)
@@ -312,19 +269,17 @@ class TestMigrateCache:
     def test_v1_entries_are_clean_misses_for_v2_lookups(self, tmp_path, rng):
         disk = DiskCache(tmp_path)
         self._plant_v1(tmp_path)
-        adapter = EngineCacheAdapter(disk)
         circuit = random_circuit(4, 8, rng)
-        assert (
-            adapter.lookup(circuit, circuit, EquivalenceType.I_P, MatchingConfig())
-            is None
+        report = MatchingService(cache=disk).match_pairs(
+            [(circuit, circuit, "I-P")], seed=1
         )
+        assert report.cache_hits == 0 and report.executed == 1
+        assert disk.stats.hits == 0
 
     def test_migrate_counts_by_version(self, tmp_path, rng):
         disk = DiskCache(tmp_path)
-        adapter = EngineCacheAdapter(disk)
         circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_P, config)
+        key = _key(circuit, circuit, EquivalenceType.I_P)
         disk.put(key, _record("v2"))
         self._plant_v1(tmp_path)
         (tmp_path / "junk.json").write_text("{not json")
@@ -334,10 +289,8 @@ class TestMigrateCache:
 
     def test_drop_v1_deletes_only_stale_entries(self, tmp_path, rng):
         disk = DiskCache(tmp_path)
-        adapter = EngineCacheAdapter(disk)
         circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_P, config)
+        key = _key(circuit, circuit, EquivalenceType.I_P)
         disk.put(key, _record("v2"))
         self._plant_v1(tmp_path)
         (tmp_path / "junk.json").write_text("{not json")

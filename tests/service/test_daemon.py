@@ -21,7 +21,6 @@ from repro.exceptions import DaemonError
 from repro.service import (
     DaemonClient,
     MatchingDaemon,
-    OverlapExecutor,
     RunState,
     SerialExecutor,
     StatsObserver,
@@ -108,9 +107,7 @@ def daemon(tmp_path):
 
 @pytest.fixture
 def slow_daemon(tmp_path):
-    server = start_daemon(
-        tmp_path, executor=OverlapExecutor(SlowSerialExecutor(0.4))
-    )
+    server = start_daemon(tmp_path, executor=SlowSerialExecutor(0.4))
     yield server
     server.stop()
 
@@ -256,7 +253,7 @@ class TestConcurrency:
     def test_queue_full_rejects_submit(self, tmp_path, corpus):
         daemon = start_daemon(
             tmp_path,
-            executor=OverlapExecutor(SlowSerialExecutor(0.4)),
+            executor=SlowSerialExecutor(0.4),
             max_queued=1,
         )
         try:
@@ -362,9 +359,7 @@ class TestShutdown:
     def test_shutdown_mid_run_is_clean_and_store_resumable(
         self, tmp_path, corpus
     ):
-        daemon = start_daemon(
-            tmp_path, executor=OverlapExecutor(SlowSerialExecutor(0.4))
-        )
+        daemon = start_daemon(tmp_path, executor=SlowSerialExecutor(0.4))
         with client_for(daemon) as client:
             ack = client.submit(corpus, seed=7)
             wait_until(

@@ -1,8 +1,8 @@
 """Unit tests for the execution backends.
 
 The load-bearing property is the acceptance criterion of the service
-subsystem: every backend — serial, four-process parallel, overlap —
-produces byte-identical per-task outcomes for the same seed, because
+subsystem: every backend — serial and four-process parallel — produces
+byte-identical per-task outcomes for the same seed, because
 every task carries its own derived RNG seed and shares no state with its
 neighbours; backends differ only in the arrival order of
 :meth:`Executor.stream`.
@@ -19,8 +19,8 @@ from repro.circuits.random import random_circuit
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import make_instance
+from repro.service import executor as executor_module
 from repro.service.executor import (
-    OverlapExecutor,
     PairTask,
     ParallelExecutor,
     SerialExecutor,
@@ -98,7 +98,7 @@ class TestSerialExecutor:
             assert outcome.matched and outcome.matcher is not None
 
     def test_stream_consumes_tasks_lazily(self, tasks):
-        """One task in, one outcome out — the overlap-enabling property."""
+        """One task in, one outcome out — what lets store writes interleave."""
         pulled = []
 
         def task_source():
@@ -116,6 +116,11 @@ class TestSerialExecutor:
     def test_results_are_plain_json(self, tasks):
         outcomes = SerialExecutor().stream(tasks[:2], MatchingConfig())
         json.dumps([outcome.result for outcome in outcomes])  # must not raise
+
+    def test_broken_tasks_raise_instead_of_failing_the_pair(self, tasks):
+        bad = dataclasses.replace(tasks[0], equivalence="NOT-A-CLASS")
+        with pytest.raises(ValueError, match="unknown equivalence label"):
+            list(SerialExecutor().stream([bad], MatchingConfig()))
 
 
 class TestParallelExecutor:
@@ -147,49 +152,22 @@ class TestParallelExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(chunk_size=0)
 
+    def test_closing_the_stream_early_cancels_queued_chunks(
+        self, tasks, monkeypatch
+    ):
+        """A consumer that stops after one outcome must not wait for the
+        rest of the batch: the pool shuts down with its queue cancelled."""
+        shutdowns = []
 
-class TestOverlapExecutor:
-    def test_byte_identical_to_inner_serial(self, tasks):
-        config = MatchingConfig()
-        serial = SerialExecutor().stream(tasks, config)
-        overlap = OverlapExecutor().stream(tasks, config)
-        assert _canonical(serial) == _canonical(overlap)
+        class SpyPool(executor_module.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
-    def test_preserves_inner_order(self, tasks):
-        outcomes = list(OverlapExecutor(buffer_size=2).stream(tasks, MatchingConfig()))
-        assert [outcome.index for outcome in outcomes] == list(range(len(tasks)))
-
-    def test_name_reflects_inner_backend(self):
-        assert OverlapExecutor().name == "overlap[serial]"
-        assert OverlapExecutor(ParallelExecutor(workers=2)).name == "overlap[parallel]"
-
-    def test_producer_exceptions_reach_the_consumer(self, tasks):
-        bad = PairTask(
-            index=0,
-            circuit1=tasks[0].circuit1,
-            circuit2=tasks[0].circuit2,
-            equivalence="NOT-A-CLASS",
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", SpyPool)
+        stream = ParallelExecutor(workers=2, chunk_size=1).stream(
+            tasks, MatchingConfig()
         )
-        with pytest.raises(ValueError, match="unknown equivalence label"):
-            list(OverlapExecutor().stream([bad], MatchingConfig()))
-
-    def test_rejects_bad_buffer(self):
-        with pytest.raises(ValueError):
-            OverlapExecutor(buffer_size=0)
-
-    def test_abandoning_the_stream_does_not_deadlock(self):
-        """Closing the generator early must unblock a producer stuck on a
-        full queue (regression: join() used to wait forever)."""
-
-        class Firehose(SerialExecutor):
-            name = "firehose"
-
-            def stream(self, tasks, config):
-                for index in range(1000):
-                    yield TaskOutcome(index=index, pair_id=None, equivalence="I-I")
-
-        stream = OverlapExecutor(Firehose(), buffer_size=2).stream(
-            [], MatchingConfig()
-        )
-        assert next(stream).index == 0
-        stream.close()  # must return promptly, not hang on join()
+        next(stream)
+        stream.close()
+        assert shutdowns and shutdowns[0] is True

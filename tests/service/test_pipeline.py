@@ -22,7 +22,7 @@ from repro.oracles.oracle import ReversibleOracle
 from repro.quantum.oracle import QuantumCircuitOracle
 from repro.service.cache import LRUCache, build_cache
 from repro.service.events import RunCompleted
-from repro.service.executor import OverlapExecutor, ParallelExecutor, SerialExecutor
+from repro.service.executor import ParallelExecutor, SerialExecutor
 from repro.service.pipeline import (
     MatchingService,
     ResultStore,
@@ -116,15 +116,6 @@ class TestStreamingRuns:
         assert report is not None and report.records == consumed.records
         assert streamed_store.read_bytes() == consumed_store.read_bytes()
 
-    def test_overlap_store_byte_identical_to_serial(self, corpus, tmp_path):
-        serial_store = tmp_path / "serial.jsonl"
-        overlap_store = tmp_path / "overlap.jsonl"
-        MatchingService().run_manifest(corpus, store_path=serial_store, seed=9)
-        MatchingService(executor=OverlapExecutor()).run_manifest(
-            corpus, store_path=overlap_store, seed=9
-        )
-        assert serial_store.read_bytes() == overlap_store.read_bytes()
-
     def test_parallel_stream_records_identical_to_serial(self, corpus, tmp_path):
         serial = MatchingService().run_manifest(corpus, seed=9)
         parallel_store = tmp_path / "parallel.jsonl"
@@ -154,16 +145,6 @@ class TestStreamingRuns:
         stream.close()
         stored = ResultStore(store_path).load()
         assert set(seen) <= set(stored)
-
-    def test_warm_cache_streaming_run_executes_nothing(self, corpus):
-        service = MatchingService(
-            executor=OverlapExecutor(), cache=build_cache()
-        )
-        cold = service.run_manifest(corpus, seed=5)
-        warm = service.run_manifest(corpus, seed=5)
-        assert cold.executed == cold.total
-        assert warm.executed == 0 and warm.cache_hits == warm.total
-        assert warm.classical_queries == 0 and warm.quantum_queries == 0
 
 
 class TestSharding:

@@ -398,13 +398,11 @@ class TestRunStreaming:
         assert lines[-1].startswith("run completed: 4/4")
         assert len(lines) == 2 + 4  # banner + one line per pair + banner
 
-    def test_progress_cadence_and_overlap(self, corpus, capsys):
-        code = main(
-            ["run", str(corpus), "--seed", "5", "--progress", "2", "--overlap"]
-        )
+    def test_progress_cadence(self, corpus, capsys):
+        code = main(["run", str(corpus), "--seed", "5", "--progress", "2"])
         assert code == 0
         captured = capsys.readouterr()
-        assert "overlap[serial]" in captured.out
+        assert "executed via serial" in captured.out
         assert len(captured.err.splitlines()) == 2 + 2
 
     def test_progress_rejects_nonpositive_cadence(self, corpus, capsys):
@@ -561,6 +559,13 @@ class TestDaemonCommands:
         stats = json.loads(capsys.readouterr().out)
         assert stats["cache"]["hits"] >= 2
         assert stats["runs"]["completed"] == 2
+
+    def test_served_daemon_reports_engine_metrics(self, served, corpus, capsys):
+        assert main(["submit", str(corpus), "--seed", "5", "--wait", *served]) == 0
+        capsys.readouterr()
+        assert main(["daemon", "metrics", *served]) == 0
+        series = json.loads(capsys.readouterr().out)["metrics"]["metrics"]
+        assert series["repro_engine_pairs_total"]["samples"]
 
     def test_submit_pair_and_event_log(self, served, corpus, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
