@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -332,6 +333,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         executor = SerialExecutor(metrics=metrics)
     shard = parse_shard(args.shard) if args.shard is not None else None
+    seed = args.seed
+    if seed is None:
+        # A run without --seed still draws every swap test from a seed;
+        # the drawn one reaches the run-meta sidecar, so the run replays.
+        seed = random.SystemRandom().getrandbits(32)  # repro: allow[det-unseeded-random]
     observers, event_log = _watch_observers(args)
     service = MatchingService(
         MatchingConfig(
@@ -354,7 +360,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.manifest,
             store_path=args.store,
             resume=args.resume,
-            seed=args.seed,
+            seed=seed,
             shard=shard,
         )
     finally:
@@ -369,6 +375,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(report.to_table(title=f"service run of {report.total} pairs"))
     print()
     print(report.summary())
+    print(f"seed: {seed}")
     if args.store:
         print(f"store: {args.store}")
     if args.metrics:
@@ -994,7 +1001,11 @@ def build_parser() -> argparse.ArgumentParser:
     # The promised class per pair comes from the manifest, so `run` takes
     # the matching flags minus --equivalence.
     runner.add_argument("--epsilon", type=float, default=1e-3)
-    runner.add_argument("--seed", type=int, default=None)
+    runner.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed; when omitted one is drawn, printed and recorded "
+        "in the store's run-meta sidecar",
+    )
     runner.add_argument(
         "--no-quantum",
         action="store_true",

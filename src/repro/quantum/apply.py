@@ -27,6 +27,16 @@ __all__ = [
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def _permute_amplitudes(index: np.ndarray, state: Statevector) -> Statevector:
+    """``new[index[x]] = old[x]`` for an ``np.intp`` basis-image array.
+
+    The one place amplitudes are permuted; callers check widths first.
+    """
+    new = np.empty_like(state.vector)
+    new[index] = state.vector
+    return Statevector(new, state.num_qubits, validate=False)
+
+
 def apply_permutation(permutation: Permutation, state: Statevector) -> Statevector:
     """Apply a basis permutation to a state: ``new[f(x)] = old[x]``."""
     if permutation.num_bits != state.num_qubits:
@@ -34,10 +44,8 @@ def apply_permutation(permutation: Permutation, state: Statevector) -> Statevect
             f"permutation acts on {permutation.num_bits} qubits, state has "
             f"{state.num_qubits}"
         )
-    old = state.vector
-    new = np.empty_like(old)
-    new[np.asarray(permutation.mapping, dtype=np.intp)] = old
-    return Statevector(new, state.num_qubits, validate=False)
+    index = np.fromiter(permutation, dtype=np.intp, count=permutation.size)
+    return _permute_amplitudes(index, state)
 
 
 def apply_circuit(circuit: ReversibleCircuit, state: Statevector) -> Statevector:
@@ -52,10 +60,8 @@ def apply_circuit(circuit: ReversibleCircuit, state: Statevector) -> Statevector
             f"circuit has {circuit.num_lines} lines, state has "
             f"{state.num_qubits} qubits"
         )
-    old = state.vector
-    new = np.empty_like(old)
-    new[np.asarray(circuit.truth_table(), dtype=np.intp)] = old
-    return Statevector(new, state.num_qubits, validate=False)
+    index = np.asarray(circuit.truth_table(), dtype=np.intp)
+    return _permute_amplitudes(index, state)
 
 
 def apply_x(state: Statevector, qubit: int) -> Statevector:

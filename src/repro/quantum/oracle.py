@@ -10,10 +10,12 @@ classical and quantum columns of Table 1 are directly comparable.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.permutation import Permutation
 from repro.exceptions import OracleError, QueryBudgetExceededError
-from repro.quantum.apply import apply_circuit, apply_permutation
+from repro.quantum.apply import _permute_amplitudes
 from repro.quantum.statevector import Statevector
 
 __all__ = ["QuantumCircuitOracle"]
@@ -42,6 +44,10 @@ class QuantumCircuitOracle:
             raise OracleError(
                 f"cannot build a quantum oracle from {type(target).__name__}"
             )
+        # Every query permutes by the same table, so convert it once.
+        self._index = np.fromiter(
+            self._permutation, dtype=np.intp, count=self._permutation.size
+        )
         self._max_queries = max_queries
         self._queries = 0
 
@@ -79,7 +85,7 @@ class QuantumCircuitOracle:
                 f"quantum query budget of {self._max_queries} exhausted"
             )
         self._queries += 1
-        return apply_permutation(self._permutation, state)
+        return _permute_amplitudes(self._index, state)
 
     def query_basis(self, value: int) -> int:
         """Classical convenience query (counted like any other query).

@@ -172,18 +172,22 @@ def product_state(labels: Sequence[str]) -> Statevector:
     ``labels[i]`` is the state of qubit ``i`` and must be one of ``"0"``,
     ``"1"``, ``"+"`` or ``"-"``.  This covers every input state the paper's
     algorithms prepare (e.g. ``|0>|+>...|+>`` in Algorithm 1 or the
-    ``|+>/|->`` patterns of the NP-I matcher).
+    ``|+>/|->`` patterns of the NP-I matcher).  The amplitude at index
+    ``x`` is the product, over qubits ``i``, of qubit ``i``'s amplitude for
+    bit ``i`` of ``x``.
     """
     if not labels:
         raise QuantumError("a product state needs at least one qubit")
     num_qubits = len(labels)
-    vector = np.ones(1, dtype=complex)
-    # Qubit i occupies bit i of the amplitude index, so each new qubit's
-    # amplitudes multiply in as the slow (outer) Kronecker factor.
-    for label in labels:
-        if label not in _SINGLE_QUBIT_AMPLITUDES:
+    indices = np.arange(1 << num_qubits)
+    vector = np.ones(1 << num_qubits, dtype=complex)
+    # Qubit 0's factor multiplies in first.  The order fixes each
+    # amplitude's rounding, which seeded swap tests depend on.
+    for qubit, label in enumerate(labels):
+        amplitudes = _SINGLE_QUBIT_AMPLITUDES.get(label)
+        if amplitudes is None:
             raise QuantumError(
                 f"unknown single-qubit label {label!r}; expected one of 0, 1, +, -"
             )
-        vector = np.kron(_SINGLE_QUBIT_AMPLITUDES[label], vector)
+        vector *= amplitudes[(indices >> qubit) & 1]
     return Statevector(vector, num_qubits, validate=False)

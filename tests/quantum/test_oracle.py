@@ -34,13 +34,15 @@ class TestQuantumCircuitOracle:
         with pytest.raises(OracleError):
             oracle.query_state(basis_state(0, 2))
 
-    def test_query_budget_enforced(self):
-        oracle = QuantumCircuitOracle(figure2_example(), max_queries=2)
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5])
+    def test_query_budget_enforced(self, budget):
+        oracle = QuantumCircuitOracle(figure2_example(), max_queries=budget)
         probe = product_state([PLUS, ZERO, PLUS])
-        oracle.query_state(probe)
-        oracle.query_state(probe)
+        for _ in range(budget):
+            oracle.query_state(probe)
         with pytest.raises(QueryBudgetExceededError):
             oracle.query_state(probe)
+        assert oracle.query_count == budget
 
     def test_query_basis_counts_and_matches_classical(self, rng):
         circuit = random_circuit(4, 15, rng)

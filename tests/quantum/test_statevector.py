@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -49,6 +50,24 @@ class TestConstruction:
         state = product_state([ZERO, ONE])
         # qubit0 = |0>, qubit1 = |1> -> basis index 0b10.
         assert state.vector[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("num_qubits", range(1, 11))
+    def test_product_state_equals_kronecker_construction(self, num_qubits):
+        single = {
+            ZERO: np.array([1.0, 0.0], dtype=complex),
+            ONE: np.array([0.0, 1.0], dtype=complex),
+            PLUS: np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+            MINUS: np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+        }
+        rng = random.Random(num_qubits)
+        for _ in range(5):
+            labels = [rng.choice("01+-") for _ in range(num_qubits)]
+            # Reference: qubit i's factor enters as the outer Kronecker
+            # factor, so it lands on bit i of the amplitude index.
+            reference = np.ones(1, dtype=complex)
+            for label in labels:
+                reference = np.kron(single[label], reference)
+            assert np.array_equal(product_state(labels).vector, reference)
 
     def test_product_state_rejects_unknown_label(self):
         with pytest.raises(QuantumError):

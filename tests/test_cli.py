@@ -416,6 +416,26 @@ class TestRunStreaming:
         assert entries[0]["event"] == "RunStarted"
         assert entries[-1]["event"] == "RunCompleted"
 
+    def test_run_without_seed_records_a_replayable_seed(self, tmp_path, capsys):
+        # Swap-test classes, so the store depends on the run seed.
+        corpus = tmp_path / "quantum-corpus"
+        assert main(
+            [
+                "corpus", str(corpus), "--num-lines", "4",
+                "--families", "random", "--classes", "N-I,NP-I",
+                "--pairs-per-class", "3", "--seed", "11",
+            ]
+        ) == 0
+        first = tmp_path / "first.jsonl"
+        main(["run", str(corpus), "--store", str(first)])
+        meta = json.loads((tmp_path / "first.jsonl.meta.json").read_text())
+        assert isinstance(meta["seed"], int)
+        assert f"seed: {meta['seed']}" in capsys.readouterr().out
+
+        replay = tmp_path / "replay.jsonl"
+        main(["run", str(corpus), "--store", str(replay), "--seed", str(meta["seed"])])
+        assert replay.read_bytes() == first.read_bytes()
+
     def test_sharded_runs_merge_to_the_unsharded_store(self, corpus, tmp_path, capsys):
         full = tmp_path / "full.jsonl"
         assert main(["run", str(corpus), "--store", str(full), "--seed", "5"]) == 0
