@@ -8,11 +8,11 @@ per-layer metrics), and writes one JSON document::
     python scripts/bench_record.py --output BENCH_16.json
     python scripts/bench_record.py --output bench.json --seconds 1
 
-The document holds the seed, the run length, ``nproc``, the Python
-version and, per workload, both metric sets with the pass counts.  With
-``--parent DIR`` the same runs are made on another checkout (a parent
-commit, say) in alternating order and stored under ``"parent"``; the
-report then compares against it.  Otherwise it compares against the
+The document holds the seed (always :data:`SEED`), the run length,
+``nproc``, the Python version and, per workload, both metric sets with
+the pass counts.  With ``--parent DIR`` the same runs are made on
+another checkout (a parent commit, say) in alternating order and stored
+under ``"parent"``; the report then compares against it.  Otherwise it compares against the
 newest other ``BENCH_*.json`` at the repository root, if there is one.
 
 The comparison prints every metric that moved: an end-to-end metric by
@@ -46,16 +46,19 @@ LAYER_BAND = 0.25
 #: one traced pass of a few milliseconds drifts by more than the band.
 LAYER_FLOOR_S = 0.05
 
+#: perfbench seed for the corpus and the run: the one every record uses.
+SEED = 3
+
 #: Units whose per-layer values repeat exactly for a fixed seed.
 EXACT_UNITS = ("count", "queries")
 
 
-def _run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
+def _run_perfbench(checkout: Path, workload: str, seconds: float,
                    trace: int) -> dict:
     """One ``perfbench/run.py`` run; its last stdout line, parsed."""
     command = [
         sys.executable, str(checkout / "perfbench" / "run.py"),
-        "--workload", workload, "--seed", str(seed),
+        "--workload", workload, "--seed", str(SEED),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
     completed = subprocess.run(
@@ -70,9 +73,9 @@ def _run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(lines[-1])
 
 
-def _measure(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    untraced = _run_perfbench(checkout, workload, seed, seconds, trace=0)
-    traced = _run_perfbench(checkout, workload, seed, seconds, trace=1)
+def _measure(checkout: Path, workload: str, seconds: float) -> dict:
+    untraced = _run_perfbench(checkout, workload, seconds, trace=0)
+    traced = _run_perfbench(checkout, workload, seconds, trace=1)
     return {
         "correct": untraced["correct"] and traced["correct"],
         "attempted": untraced["attempted"],
@@ -140,8 +143,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", required=True, type=Path,
                         help="where to write the JSON document")
-    parser.add_argument("--seed", type=int, default=3,
-                        help="perfbench seed for the corpus and the run")
     parser.add_argument("--seconds", type=float, default=15.0,
                         help="perfbench minimum timed seconds per run")
     parser.add_argument("--parent", type=Path,
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
             for side in order:
                 print(f"measuring {workload} on {side}", file=sys.stderr)
                 results[side][workload] = _measure(
-                    sides[side], workload, args.seed, args.seconds
+                    sides[side], workload, args.seconds
                 )
     except RuntimeError as error:
         print(f"bench_record: {error}", file=sys.stderr)
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
 
     document = {
         "format": FORMAT,
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": args.seconds,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

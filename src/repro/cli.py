@@ -292,6 +292,22 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    shard = parse_shard(args.shard) if args.shard is not None else None
+    seed = args.seed
+    if seed is None:
+        # A resumed or sharded run continues one run: a freshly drawn seed
+        # would mix two seeds in one (merged) store.
+        if args.resume or shard is not None:
+            flag = "--resume" if args.resume else "--shard"
+            raise ReproError(
+                f"{flag} requires the --seed of the run it continues "
+                "(an unseeded run prints it as 'seed: N' when it starts)"
+            )
+        # A run without --seed still draws every swap test from a seed.
+        # It is printed before the run starts, so an interrupted run can be
+        # resumed with it, and a completed one records it in the run-meta
+        # sidecar.
+        seed = random.SystemRandom().getrandbits(32)  # repro: allow[det-unseeded-random]
     if args.no_cache:
         if args.remote_cache is not None:
             raise ReproError(
@@ -332,12 +348,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         executor = ParallelExecutor(workers=args.workers)
     else:
         executor = SerialExecutor(metrics=metrics)
-    shard = parse_shard(args.shard) if args.shard is not None else None
-    seed = args.seed
-    if seed is None:
-        # A run without --seed still draws every swap test from a seed;
-        # the drawn one reaches the run-meta sidecar, so the run replays.
-        seed = random.SystemRandom().getrandbits(32)  # repro: allow[det-unseeded-random]
     observers, event_log = _watch_observers(args)
     service = MatchingService(
         MatchingConfig(
@@ -355,6 +365,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         metrics=metrics,
         tracer=tracer,
     )
+    if args.seed is None:
+        print(f"seed: {seed}", file=sys.stderr)
     try:
         report = service.run_manifest(
             args.manifest,
@@ -375,7 +387,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(report.to_table(title=f"service run of {report.total} pairs"))
     print()
     print(report.summary())
-    print(f"seed: {seed}")
     if args.store:
         print(f"store: {args.store}")
     if args.metrics:
@@ -1004,7 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument(
         "--seed", type=int, default=None,
         help="run seed; when omitted one is drawn, printed and recorded "
-        "in the store's run-meta sidecar",
+        "in the store's run-meta sidecar (--resume and --shard require it)",
     )
     runner.add_argument(
         "--no-quantum",

@@ -116,6 +116,48 @@ def _marker_probes(num_lines: int, marker: str) -> list[Statevector]:
     return probes
 
 
+def _find_line_permutation(
+    oracle1, oracle2, tester: SwapTest, repetitions: int, infer_last_candidate: bool
+) -> LinePermutation:
+    """Phase 1 of :func:`match_np_i_quantum`: find ``pi``.
+
+    Placing ``|->`` on line b1 of C1 and line b2 of C2 (all other lines
+    ``|+>``) makes the final states identical iff ``pi(b1) = b2``.  Both
+    circuits see the same n probes, each tested against up to n
+    candidates, so each is built once and indexed.
+    """
+    num_lines = oracle1.num_qubits
+    minus_probes = _marker_probes(num_lines, MINUS)
+    pi_mapping: list[int | None] = [None] * num_lines
+    unmatched: list[int] = list(range(num_lines))
+    for b1 in range(num_lines):
+        probe1 = minus_probes[b1]
+        matched: int | None = None
+        for b2 in list(unmatched):
+            if infer_last_candidate and len(unmatched) == 1:
+                matched = unmatched[0]
+                break
+            probe2 = minus_probes[b2]
+            saw_one = False
+            for _ in range(repetitions):
+                output1 = oracle1.query_state(probe1)
+                output2 = oracle2.query_state(probe2)
+                if tester.sample(output1, output2) == 1:
+                    saw_one = True
+                    break
+            if not saw_one:
+                matched = b2
+                break
+        if matched is None:
+            raise PromiseViolationError(
+                f"no output line of C2 pairs with line {b1} of C1; the "
+                "circuits are not NP-I equivalent"
+            )
+        pi_mapping[b1] = matched
+        unmatched.remove(matched)
+    return LinePermutation([value for value in pi_mapping if value is not None])
+
+
 def match_np_i_quantum(
     circuit1,
     circuit2,
@@ -147,39 +189,11 @@ def match_np_i_quantum(
     start_queries = oracle1.query_count + oracle2.query_count
     start_tests = tester.runs
 
-    # Phase 1: find pi.  Placing |-> on line b1 of C1 and line b2 of C2 (all
-    # other lines |+>) makes the final states identical iff pi(b1) = b2.
-    # Both circuits see the same n probes, each tested against up to n
-    # candidates, so each is built once and indexed.
-    minus_probes = _marker_probes(num_lines, MINUS)
-    pi_mapping: list[int | None] = [None] * num_lines
-    unmatched: list[int] = list(range(num_lines))
-    for b1 in range(num_lines):
-        probe1 = minus_probes[b1]
-        matched: int | None = None
-        for b2 in list(unmatched):
-            if infer_last_candidate and len(unmatched) == 1:
-                matched = unmatched[0]
-                break
-            probe2 = minus_probes[b2]
-            saw_one = False
-            for _ in range(repetitions):
-                output1 = oracle1.query_state(probe1)
-                output2 = oracle2.query_state(probe2)
-                if tester.sample(output1, output2) == 1:
-                    saw_one = True
-                    break
-            if not saw_one:
-                matched = b2
-                break
-        if matched is None:
-            raise PromiseViolationError(
-                f"no output line of C2 pairs with line {b1} of C1; the "
-                "circuits are not NP-I equivalent"
-            )
-        pi_mapping[b1] = matched
-        unmatched.remove(matched)
-    pi_x = LinePermutation([value for value in pi_mapping if value is not None])
+    # Phase 1 returns before phase 2 builds its probes, so at most n probes
+    # of 2^n amplitudes each are alive at once.
+    pi_x = _find_line_permutation(
+        oracle1, oracle2, tester, repetitions, infer_last_candidate
+    )
 
     # Phase 2: find nu with the Algorithm 1 variant: |0> on line i of C1 and
     # on line pi(i) of C2; a NOT on line i flips that marker and the swap

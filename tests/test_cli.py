@@ -416,7 +416,8 @@ class TestRunStreaming:
         assert entries[0]["event"] == "RunStarted"
         assert entries[-1]["event"] == "RunCompleted"
 
-    def test_run_without_seed_records_a_replayable_seed(self, tmp_path, capsys):
+    @pytest.fixture
+    def quantum_corpus(self, tmp_path):
         # Swap-test classes, so the store depends on the run seed.
         corpus = tmp_path / "quantum-corpus"
         assert main(
@@ -426,15 +427,58 @@ class TestRunStreaming:
                 "--pairs-per-class", "3", "--seed", "11",
             ]
         ) == 0
+        return corpus
+
+    def test_run_without_seed_records_a_replayable_seed(
+        self, quantum_corpus, tmp_path, capsys
+    ):
+        capsys.readouterr()
         first = tmp_path / "first.jsonl"
-        main(["run", str(corpus), "--store", str(first)])
+        main(["run", str(quantum_corpus), "--store", str(first)])
         meta = json.loads((tmp_path / "first.jsonl.meta.json").read_text())
         assert isinstance(meta["seed"], int)
-        assert f"seed: {meta['seed']}" in capsys.readouterr().out
+        assert capsys.readouterr().err.splitlines()[0] == f"seed: {meta['seed']}"
 
         replay = tmp_path / "replay.jsonl"
-        main(["run", str(corpus), "--store", str(replay), "--seed", str(meta["seed"])])
+        main(
+            ["run", str(quantum_corpus), "--store", str(replay),
+             "--seed", str(meta["seed"])]
+        )
         assert replay.read_bytes() == first.read_bytes()
+
+    def test_interrupted_unseeded_run_resumes_with_its_printed_seed(
+        self, quantum_corpus, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        full = tmp_path / "full.jsonl"
+        main(["run", str(quantum_corpus), "--store", str(full)])
+        seed = capsys.readouterr().err.splitlines()[0].removeprefix("seed: ")
+
+        # An interrupted run: the store holds the first records and no
+        # run-meta sidecar was written.
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(full.read_text().splitlines(keepends=True)[:2]))
+        partial = cut.read_bytes()
+        assert main(["run", str(quantum_corpus), "--store", str(cut), "--resume"]) == 2
+        assert "--resume requires the --seed" in capsys.readouterr().err
+        assert cut.read_bytes() == partial
+
+        assert main(
+            ["run", str(quantum_corpus), "--store", str(cut), "--resume",
+             "--seed", seed]
+        ) == 0
+        assert "2 resumed, 4 executed" in capsys.readouterr().out
+        assert cut.read_bytes() == full.read_bytes()
+        meta = json.loads((tmp_path / "cut.jsonl.meta.json").read_text())
+        assert meta["seed"] == int(seed)
+
+    def test_shard_without_seed_is_refused(self, quantum_corpus, tmp_path, capsys):
+        store = tmp_path / "shard.jsonl"
+        assert main(
+            ["run", str(quantum_corpus), "--store", str(store), "--shard", "0/2"]
+        ) == 2
+        assert "--shard requires the --seed" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_sharded_runs_merge_to_the_unsharded_store(self, corpus, tmp_path, capsys):
         full = tmp_path / "full.jsonl"
