@@ -1,4 +1,4 @@
-"""Service throughput: pairs/sec serial vs. parallel vs. cached vs. streamed.
+"""Service throughput: pairs/sec serial vs. cached vs. streamed.
 
 Unlike the other benchmark modules, which reproduce per-pair *query
 counts* from the paper, this one measures the quantity the service layer
@@ -6,14 +6,13 @@ exists for: batch throughput over a generated corpus.  Backends run the
 same manifest —
 
 * serial execution (the baseline the per-pair numbers imply),
-* a 2-worker process pool (must produce identical records; wall-clock
-  gain depends on corpus size vs. pool startup cost),
 * a warm result cache (the repeated-workload regime: zero oracle queries),
 
 and the execution *APIs* run the same fixed task batch —
 
-* batch (``Executor.stream`` drained into a list sorted by task index),
-* streaming (``Executor.stream``, the as-completed contract).
+* batch (``SerialExecutor.stream`` drained into a list sorted by task
+  index),
+* streaming (``SerialExecutor.stream``, the streaming contract).
 
 Four tests are CI gates:
 
@@ -58,12 +57,7 @@ from repro.analysis.report import format_table
 from repro.core.engine import MatchingConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import build_cache
-from repro.service.executor import (
-    PairTask,
-    ParallelExecutor,
-    SerialExecutor,
-    derive_seed,
-)
+from repro.service.executor import PairTask, SerialExecutor, derive_seed
 from repro.service.pipeline import MatchingService
 from repro.service.workload import (
     CorpusManifest,
@@ -116,24 +110,6 @@ def test_serial_throughput(benchmark, corpus):
     )
     assert report.matched == report.total
     _report_throughput("service throughput: serial", [("serial", report)])
-
-
-def test_parallel_throughput_matches_serial(benchmark, corpus):
-    serial = MatchingService(executor=SerialExecutor()).run_manifest(
-        corpus, seed=RUN_SEED
-    )
-    service = MatchingService(executor=ParallelExecutor(workers=2))
-    report = benchmark.pedantic(
-        lambda: service.run_manifest(corpus, seed=RUN_SEED), rounds=3, iterations=1
-    )
-    # Throughput must never come at the cost of reproducibility.
-    assert json.dumps(report.records, sort_keys=True) == json.dumps(
-        serial.records, sort_keys=True
-    )
-    _report_throughput(
-        "service throughput: parallel (2 workers)",
-        [("serial", serial), ("parallel", report)],
-    )
 
 
 def _fixed_tasks(corpus) -> list[PairTask]:

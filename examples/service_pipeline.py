@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The matching service: corpus -> cached, parallel, resumable pipeline.
+"""The matching service: corpus -> cached, resumable pipeline.
 
 The engine answers one batch at a time in one process with no memory of
 past batches; the service layer turns it into a pipeline for corpus-scale
@@ -17,22 +17,18 @@ workloads.  This example walks the full loop:
    without building a single oracle,
 4. simulate a crash by truncating the store, then resume — only the
    missing pairs execute, with the exact per-pair seeds the interrupted
-   run would have used,
-5. run the corpus through a 4-worker process pool and check the records
-   are byte-identical to the serial run.
+   run would have used.
 
 Run with:  python examples/service_pipeline.py
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 
 from repro.service import (
     MatchingService,
-    ParallelExecutor,
     ResultStore,
     build_cache,
     generate_corpus,
@@ -79,19 +75,6 @@ def main() -> None:
     print()
     print("resumed:", resumed.summary())
     print(f"store holds {len(ResultStore(store_path).load())} records again")
-
-    # 5. Parallel run, byte-identical to serial.
-    serial = MatchingService().run_manifest(corpus, seed=7)
-    parallel = MatchingService(executor=ParallelExecutor(workers=4)).run_manifest(
-        corpus, seed=7
-    )
-    identical = json.dumps(serial.records, sort_keys=True) == json.dumps(
-        parallel.records, sort_keys=True
-    )
-    print()
-    print("parallel:", parallel.summary())
-    print(f"parallel records identical to serial: {identical}")
-    assert identical
 
 
 if __name__ == "__main__":

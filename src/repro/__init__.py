@@ -19,9 +19,9 @@ The package is organised around the paper's structure:
 * :mod:`repro.baselines` — brute-force and classical collision-search
   baselines against which the paper's algorithms are compared.
 * :mod:`repro.service` — the throughput layer: result caching keyed by
-  oracle fingerprints, serial/parallel execution backends, corpus
-  generation and the resumable :class:`~repro.service.MatchingService`
-  pipeline.
+  oracle fingerprints, serial execution with per-pair seeds, corpus
+  generation and the resumable, shardable
+  :class:`~repro.service.MatchingService` pipeline.
 * :mod:`repro.analysis` — scaling fits and report rendering for the
   benchmark harness.
 

@@ -19,10 +19,10 @@ reaches for most often without writing Python:
   ``manifest.json``) across equivalence classes and problem families;
 * ``repro run MANIFEST`` — execute a corpus manifest through the
   streaming :class:`~repro.service.MatchingService` pipeline, with
-  ``--workers`` (process-pool parallelism), ``--cache``/``--cache-dir``
-  (result reuse across pairs and runs), ``--resume`` (skip pairs already
-  in the JSONL result store), ``--shard i/n`` (run one deterministic
-  partition of the manifest), ``--progress`` (a progress line per N
+  ``--cache``/``--cache-dir`` (result reuse across pairs and runs),
+  ``--resume`` (skip pairs already in the JSONL result store),
+  ``--shard i/n`` (run one deterministic partition of the manifest, the
+  way to scale a run out), ``--progress`` (a progress line per N
   finished pairs),
   ``--events`` (JSONL lifecycle-event log), ``--metrics`` (write a
   ``repro-metrics/v1`` snapshot of the run's counters) and ``--trace``
@@ -91,7 +91,7 @@ from repro.service.events import (
     ProgressObserver,
     RunCompleted,
 )
-from repro.service.executor import ParallelExecutor, SerialExecutor
+from repro.service.executor import SerialExecutor
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMES,
     pair_key,
@@ -291,23 +291,34 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resolve_seed(seed: int | None, continuing: str | None = None) -> int:
+    """The run seed: ``seed`` itself, or a fresh one printed on stderr.
+
+    A run without ``--seed`` still draws every swap test from a seed.  It
+    is printed before the run starts, so an interrupted run can be resumed
+    with it and a finished one replayed.  ``continuing`` names the flag
+    (``--resume``, ``--shard``) that makes the invocation continue an
+    earlier run: a freshly drawn seed would then mix two seeds in one
+    (merged) store, so it is refused instead.
+    """
+    if seed is not None:
+        return seed
+    if continuing is not None:
+        raise ReproError(
+            f"{continuing} requires the --seed of the run it continues "
+            "(an unseeded run prints it as 'seed: N' when it starts)"
+        )
+    seed = random.SystemRandom().getrandbits(32)  # repro: allow[det-unseeded-random]
+    print(f"seed: {seed}", file=sys.stderr)
+    return seed
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     shard = parse_shard(args.shard) if args.shard is not None else None
-    seed = args.seed
-    if seed is None:
-        # A resumed or sharded run continues one run: a freshly drawn seed
-        # would mix two seeds in one (merged) store.
-        if args.resume or shard is not None:
-            flag = "--resume" if args.resume else "--shard"
-            raise ReproError(
-                f"{flag} requires the --seed of the run it continues "
-                "(an unseeded run prints it as 'seed: N' when it starts)"
-            )
-        # A run without --seed still draws every swap test from a seed.
-        # It is printed before the run starts, so an interrupted run can be
-        # resumed with it, and a completed one records it in the run-meta
-        # sidecar.
-        seed = random.SystemRandom().getrandbits(32)  # repro: allow[det-unseeded-random]
+    seed = _resolve_seed(
+        args.seed,
+        "--resume" if args.resume else "--shard" if shard is not None else None,
+    )
     if args.no_cache:
         if args.remote_cache is not None:
             raise ReproError(
@@ -342,12 +353,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.trace import Tracer
 
         tracer = Tracer(args.trace)
-    if args.workers > 1:
-        # Worker processes build their own engines; engine-level metrics
-        # need the in-process serial backend.
-        executor = ParallelExecutor(workers=args.workers)
-    else:
-        executor = SerialExecutor(metrics=metrics)
     observers, event_log = _watch_observers(args)
     service = MatchingService(
         MatchingConfig(
@@ -358,15 +363,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fingerprint_scheme=args.fingerprint,
             probe_count=args.probe_count,
         ),
-        executor=executor,
+        executor=SerialExecutor(metrics=metrics),
         cache=cache,
         verify=args.verify,
         observers=observers,
         metrics=metrics,
         tracer=tracer,
     )
-    if args.seed is None:
-        print(f"seed: {seed}", file=sys.stderr)
     try:
         report = service.run_manifest(
             args.manifest,
@@ -529,9 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             memory_size=args.cache_size,
             disk_dir=args.cache_dir,
         )
-    # None lets the daemon build its own serial executor, bound to the
-    # metrics registry its `metrics` op reports.
-    executor = ParallelExecutor(workers=args.workers) if args.workers > 1 else None
     if args.socket is None and args.host is None:
         args.socket = str(Path(args.store_dir) / "daemon.sock")
     token = None
@@ -551,7 +551,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache=cache,
-        executor=executor,
         verify=args.verify,
         max_queued=args.max_queued,
         auth_token=token,
@@ -626,11 +625,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             {"circuit1": c1, "circuit2": c2, "equivalence": label}
             for c1, c2, label in args.pair
         ]
+    seed = _resolve_seed(args.seed, "--resume" if args.resume else None)
     with _daemon_client(args) as client:
         ack = client.submit(
             args.manifest,
             pairs=pairs,
-            seed=args.seed,
+            seed=seed,
             resume=args.resume,
             store=args.store,
         )
@@ -730,10 +730,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
         metrics = MetricsRegistry()
     coordinator = _fleet_coordinator(args, observers, metrics)
+    seed = _resolve_seed(args.seed)
     try:
-        report = coordinator.run(
-            args.manifest, seed=args.seed, output=args.output
-        )
+        report = coordinator.run(args.manifest, seed=seed, output=args.output)
     finally:
         if event_log is not None:
             event_log.close()
@@ -940,17 +939,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute a corpus manifest through the matching service",
         description=(
             "Runs every pair of a corpus manifest through the cached, "
-            "parallel, resumable MatchingService pipeline and prints the "
-            "per-pair table plus throughput.  Exit code 1 when any pair "
-            "failed to match."
+            "resumable MatchingService pipeline and prints the per-pair "
+            "table plus throughput.  Exit code 1 when any pair failed to "
+            "match.  Scale out with --shard or 'repro fleet run'."
         ),
     )
     runner.add_argument(
         "manifest", help="path to a manifest.json or a corpus directory"
-    )
-    runner.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="process-pool size (1 = serial, the default)",
     )
     runner.add_argument(
         "--store", metavar="PATH",
@@ -1033,9 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Merges the JSONL result stores written by sharded 'repro run "
             "--shard i/n' invocations (or by resumed runs) into a single "
             "store ordered by manifest index — byte-identical to the store "
-            "an unsharded serial run of the same manifest would have "
-            "written.  Also normalises a single completion-ordered store "
-            "from a --workers N run."
+            "an unsharded run of the same manifest would have written."
         ),
     )
     merger.add_argument(
@@ -1251,10 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on waiting jobs; submits beyond it are rejected",
     )
     server.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="process-pool size per run (1 = serial, the default)",
-    )
-    server.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",
         help="in-memory LRU capacity in results (default 4096)",
     )
@@ -1305,7 +1294,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("C1", "C2", "CLASS"),
         help="an ad-hoc circuit pair with its promised class (repeatable)",
     )
-    submit.add_argument("--seed", type=int, default=None)
+    submit.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed; when omitted one is drawn and printed on stderr "
+        "(--resume requires it)",
+    )
     submit.add_argument(
         "--resume", action="store_true",
         help="skip pairs the run's store already answered",
@@ -1394,7 +1387,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", metavar="PATH",
         help="merged store to write (default <work-dir>/<run-id>/merged.jsonl)",
     )
-    fleet.add_argument("--seed", type=int, default=None)
+    fleet.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed; when omitted one is drawn and printed on stderr",
+    )
     fleet.add_argument(
         "--auth-token-file", metavar="PATH",
         help="shared secret presented to every peer (required when "

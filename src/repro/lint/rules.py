@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from repro.exceptions import LintError
 from repro.lint.findings import Finding
@@ -33,16 +33,21 @@ __all__ = [
     "SCOPE_PATHS",
 ]
 
-# Which modules each named scope covers, as posix-path suffixes relative to
-# the lint root.  ``determinism`` is the set of modules whose output feeds
-# cache keys, digests, manifests, or persisted records; ``publish`` is the
-# set that writes files other processes read back.
+# Which modules each named scope covers, as posix-path patterns matched
+# against the end of the path relative to the lint root (``*`` stays
+# within one directory).  ``determinism`` is the set of modules whose
+# output feeds cache keys, digests, manifests, or persisted records (the
+# matchers and the quantum simulator decide the witnesses and query
+# counts a record holds); ``publish`` is the set that writes files other
+# processes read back.
 SCOPE_PATHS: dict[str, tuple[str, ...]] = {
     "determinism": (
         "repro/service/fingerprint.py",
         "repro/service/serialize.py",
         "repro/service/workload.py",
         "repro/service/cache.py",
+        "repro/core/matchers/*.py",
+        "repro/quantum/*.py",
     ),
     "publish": (
         "repro/service/cache.py",
@@ -155,8 +160,9 @@ class ModuleRule(LintRule):
             return True
         if self.scope in ctx.scopes:
             return True
-        suffixes = SCOPE_PATHS.get(self.scope, ())
-        return any(ctx.relpath.endswith(suffix) for suffix in suffixes)
+        path = PurePosixPath(ctx.relpath)
+        patterns = SCOPE_PATHS.get(self.scope, ())
+        return any(path.match(pattern) for pattern in patterns)
 
     @abstractmethod
     def check(self, ctx: ModuleContext) -> list[Finding]:

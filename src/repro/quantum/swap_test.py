@@ -77,7 +77,10 @@ class SwapTest:
         use_circuit: bool = False,
     ) -> None:
         if rng is None:
-            rng = _random.Random()
+            # The one intended source of fresh randomness, for library
+            # callers that pass no seed.  Every CLI entry point resolves
+            # (and prints) a run seed first, so runs stay replayable.
+            rng = _random.Random()  # repro: allow[det-unseeded-random]
         elif isinstance(rng, int):
             rng = _random.Random(rng)
         self._rng = rng

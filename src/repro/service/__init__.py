@@ -10,10 +10,10 @@ for corpora:
   beyond, gate-structure digests as the last resort.
 * :mod:`repro.service.cache` — LRU in-memory, on-disk and tiered result
   caches, keyed only by :class:`MatchingService` (``pair_key``).
-* :mod:`repro.service.executor` — pluggable execution backends exposing
-  the as-completed :meth:`Executor.stream` contract with deterministic
-  per-pair seeding (serial / process-pool parallel, byte-identical per
-  task).
+* :mod:`repro.service.executor` — :class:`SerialExecutor`, whose
+  :meth:`~SerialExecutor.stream` runs pair tasks in order with
+  deterministic per-pair seeding, so a pair's outcome does not depend on
+  the batch, shard or host it runs in.
 * :mod:`repro.service.events` — the typed lifecycle events a run streams
   (``RunStarted`` ... ``RunCompleted``) and the pluggable ``Observer``
   protocol with progress / JSONL-log / stats implementations.
@@ -27,7 +27,7 @@ for corpora:
   ``run_manifest``/``match_pairs`` as thin consumers; shard-aware runs
   (:func:`shard_index`) and :func:`merge_stores` to union shard stores.
 * :mod:`repro.service.serialize` — the JSON form of matching results
-  shared by cache, store and executor.
+  shared by cache, store, executor and daemon wire.
 * :mod:`repro.service.daemon` — the long-lived front end:
   :class:`MatchingDaemon` keeps one process and one shared cache
   alive across many submissions behind a newline-delimited JSON socket
@@ -36,8 +36,8 @@ for corpora:
   result store, so daemon runs resume and merge like CLI runs.
 
 The CLI surfaces this as ``repro corpus`` (generate), ``repro run``
-(execute, with ``--workers``, ``--cache-dir``,
-``--resume``, ``--shard i/n``, ``--progress`` and ``--events``),
+(execute, with ``--cache-dir``, ``--resume``, ``--shard i/n``,
+``--progress`` and ``--events``),
 ``repro merge`` (union shard stores), and the daemon quartet ``repro
 serve`` / ``repro submit`` / ``repro watch`` / ``repro daemon``
 (admin: status, stats, cancel, shutdown).
@@ -84,9 +84,7 @@ from repro.service.events import (
     event_from_dict,
 )
 from repro.service.executor import (
-    Executor,
     PairTask,
-    ParallelExecutor,
     SerialExecutor,
     TaskOutcome,
     derive_seed,
@@ -185,9 +183,7 @@ __all__ = [
     "MatchingDaemon",
     "DaemonClient",
     # executor
-    "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "PairTask",
     "TaskOutcome",
     "derive_seed",

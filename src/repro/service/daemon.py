@@ -21,14 +21,14 @@ ordinary :class:`~repro.service.events.Observer` objects against a
 remote run.
 
 Jobs flow through a bounded queue consumed by a single worker thread —
-one run executes at a time (its executor may itself be a process pool),
-later submissions queue, and a full queue rejects the submit rather than
-buffering unboundedly.  Each run streams its records into a per-run
-JSONL :class:`~repro.service.pipeline.ResultStore` under the daemon's
-store directory, so daemon runs stay resumable and mergeable exactly
-like CLI runs: a run cancelled (or a daemon shut down) mid-flight keeps
-every record already flushed, and resubmitting with ``resume`` picks up
-where it stopped.
+one run executes at a time, later submissions queue, and a full queue
+rejects the submit rather than buffering unboundedly.  Each run streams
+its records into a per-run JSONL
+:class:`~repro.service.pipeline.ResultStore` under the daemon's store
+directory, so daemon runs stay resumable and mergeable exactly like CLI
+runs: a run cancelled (or a daemon shut down) mid-flight keeps every
+record already flushed, and resubmitting with ``resume`` picks up where
+it stopped.
 
 :class:`DaemonClient` is the Python-side counterpart the CLI commands
 (``repro serve`` / ``repro submit`` / ``repro watch`` / ``repro
@@ -56,7 +56,7 @@ from repro.exceptions import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache, TieredCache, build_cache
 from repro.service.events import Observer, event_from_dict
-from repro.service.executor import Executor, SerialExecutor
+from repro.service.executor import SerialExecutor
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
 from repro.service.workload import MANIFEST_NAME
 from repro.wire import WireClient, WireServer
@@ -315,9 +315,9 @@ class MatchingDaemon(WireServer):
             :func:`~repro.service.cache.build_cache` with the cache
             persisted under ``store_dir/cache``.  Pass ``None`` explicitly
             to run without a result cache.
-        executor: execution backend; defaults to a
-            :class:`~repro.service.executor.SerialExecutor` bound to the
-            daemon's metrics registry, so the ``metrics`` op reports the
+        executor: the :class:`~repro.service.executor.SerialExecutor`
+            runs go through; defaults to one bound to the daemon's
+            metrics registry, so the ``metrics`` op reports the
             ``repro_engine_*`` series.
         verify: exhaustively verify witnesses of freshly executed pairs.
         remote_cache: a ``repro-cache/v1`` cache-server address
@@ -356,7 +356,7 @@ class MatchingDaemon(WireServer):
         host: str | None = None,
         port: int | None = None,
         cache: ResultCache | None = _DEFAULT_CACHE,  # type: ignore[assignment]
-        executor: Executor | None = None,
+        executor: SerialExecutor | None = None,
         verify: bool = False,
         remote_cache: str | None = None,
         auth_token: str | None = None,

@@ -157,9 +157,9 @@ class TaskCompleted(ServiceEvent):
     """A freshly executed pair produced witnesses.
 
     ``duration_s`` is the matcher-dispatch wall clock measured by the
-    executor (in the worker process for pooled backends).  It never
-    enters the persisted record — stores stay byte-identical across
-    serial, parallel and sharded runs — so it rides on the event only.
+    executor.  It never enters the persisted record — stores stay
+    byte-identical across whole-manifest, sharded and fleet runs — so it
+    rides on the event only.
     """
 
     index: int

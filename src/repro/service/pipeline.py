@@ -7,8 +7,9 @@ in-memory pairs), skips whatever a previous run already answered (resume
 via the JSONL result store), answers whatever an earlier batch or run
 already answered (the result cache, consulted *before* any oracle is
 built — a warm-cache run performs zero oracle queries), hands the
-remainder to an execution backend's as-completed stream, and appends one
-JSON record per pair to the store the moment the pair finishes.
+remainder to the :class:`~repro.service.executor.SerialExecutor`, and
+appends one JSON record per pair to the store the moment the pair
+finishes.
 :meth:`~MatchingService.run_manifest` and :meth:`~MatchingService.match_pairs`
 are thin consumers of that stream that forward events to registered
 :class:`~repro.service.events.Observer`\\ s and return the final
@@ -21,8 +22,8 @@ seeds still derived from the *manifest* position — so the union of the
 of one unsharded run.
 
 Records are JSON dicts end to end — the executor, the cache and the
-store all speak :mod:`repro.service.serialize` — so a serial run, a
-4-worker run and a cache replay of the same manifest write
+store all speak :mod:`repro.service.serialize` — so a whole-manifest
+run, merged shard runs and a cache replay of the same manifest write
 interchangeable stores.
 """
 
@@ -56,12 +57,7 @@ from repro.service.events import (
     TaskFailed,
     TaskStarted,
 )
-from repro.service.executor import (
-    Executor,
-    PairTask,
-    SerialExecutor,
-    derive_seed,
-)
+from repro.service.executor import PairTask, SerialExecutor, derive_seed
 from repro.service.fingerprint import (
     KEY_VERSION,
     FingerprintRegistry,
@@ -251,9 +247,10 @@ def merge_stores(
     by the records' manifest ``index``, and the result is written fresh to
     ``output``.  Because shard runs keep manifest positions (and therefore
     per-pair seeds), merging the ``n`` shard stores of a manifest
-    reproduces the unsharded *serial* run's store byte for byte — shard
-    stores written by a ``--workers N`` run are completion-ordered, but
-    the index sort makes the merged output identical either way.
+    reproduces the unsharded run's store byte for byte.  The index sort
+    makes the output independent of input order, which fleet shards
+    arrive in any of, and puts a resumed store's records back in
+    manifest order.
 
     Returns:
         The number of records written.
@@ -297,8 +294,8 @@ def merge_stores(
 def _write_run_meta(store: ResultStore, report: "ServiceReport", seed) -> None:
     """Publish the run's ``<store>.meta.json`` timing sidecar atomically.
 
-    Store records are byte-identical across serial, parallel and sharded
-    runs, so wall-clock facts must never enter them; this sidecar carries
+    Store records are byte-identical across whole-manifest, sharded and
+    fleet runs, so wall-clock facts must never enter them; this sidecar carries
     the run's aggregate timing instead, and ``repro report`` merges it
     back into the per-store summary.  Written via tmp + rename so a crash
     mid-write cannot leave a torn sidecar.
@@ -469,8 +466,8 @@ class MatchingService:
     Args:
         config: the :class:`~repro.core.engine.MatchingConfig` policy every
             pair is matched under (also part of every cache key).
-        executor: execution backend; defaults to
-            :class:`~repro.service.executor.SerialExecutor`.
+        executor: the :class:`~repro.service.executor.SerialExecutor`
+            pairs run on; defaults to one without metrics.
         cache: optional :class:`~repro.service.cache.ResultCache` consulted
             per pair before any oracle exists.
         verify: exhaustively verify the witnesses of freshly executed
@@ -501,7 +498,7 @@ class MatchingService:
         self,
         config: MatchingConfig | None = None,
         *,
-        executor: Executor | None = None,
+        executor: SerialExecutor | None = None,
         cache: ResultCache | None = None,
         verify: bool = False,
         observers: Sequence[Observer] = (),
@@ -529,8 +526,8 @@ class MatchingService:
         return self._config
 
     @property
-    def executor(self) -> Executor:
-        """The execution backend."""
+    def executor(self) -> SerialExecutor:
+        """The executor pairs run on."""
         return self._executor
 
     @property
@@ -729,9 +726,8 @@ class MatchingService:
             pending.append(unit)
 
         by_position = {unit.position: unit for unit in pending}
-        # TaskStarted events are minted as the executor *pulls* tasks (a
-        # serial backend pulls one at a time, pooled backends pull ahead)
-        # and relayed before the outcome they precede.
+        # TaskStarted events are minted as the executor pulls each task
+        # and relayed before the outcome that follows it.
         submitted: deque[TaskStarted] = deque()
 
         def tasks() -> Iterator[PairTask]:
@@ -836,8 +832,9 @@ class MatchingService:
                 metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
         if store is not None:
             # Durations never enter the records (stores stay byte-identical
-            # across serial/parallel/shard runs); the run's wall clock goes
-            # in an atomic sidecar that `repro report` merges back in.
+            # across whole-manifest, shard and fleet runs); the run's wall
+            # clock goes in an atomic sidecar that `repro report` merges
+            # back in.
             _write_run_meta(store, report, seed)
         yield RunCompleted(report=report)
 
@@ -907,10 +904,10 @@ class MatchingService:
         The primitive behind :meth:`run_manifest`: a generator yielding
         :class:`~repro.service.events.RunStarted` first,
         :class:`~repro.service.events.RunCompleted` (carrying the
-        :class:`ServiceReport`) last, and per-pair events in between, in
-        the executor's as-completed order.  Store records are appended as
-        their events are yielded, so a consumer that stops early keeps
-        everything already streamed.
+        :class:`ServiceReport`) last, and per-pair events in between:
+        settled pairs first, then executed ones, each in manifest order.
+        Store records are appended as their events are yielded, so a
+        consumer that stops early keeps everything already streamed.
 
         Args:
             manifest: a loaded :class:`CorpusManifest` or a path to one

@@ -2,8 +2,8 @@
 
 Both persistence surfaces of the service layer — the on-disk result cache
 and the JSONL run store — need :class:`~repro.core.problem.MatchingResult`
-as plain JSON, and the process-pool executor ships results between
-processes in the same form so serial and parallel runs produce literally
+as plain JSON, and the executor and the daemon wire carry results in the
+same form, so sharded, fleet and whole-manifest runs produce literally
 identical records.  Witness fields map to JSON naturally (negations become
 0/1 lists, line permutations become mapping lists); free-form metadata is
 sanitised value-by-value because matchers may stash arbitrary objects

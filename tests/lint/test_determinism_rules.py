@@ -68,6 +68,18 @@ class TestScoping:
         report = lint_project(tmp_path, paths=[unscoped])
         assert report.findings == []
 
+    @pytest.mark.parametrize(
+        "relpath", ["repro/core/matchers/probe.py", "repro/quantum/probe.py"]
+    )
+    def test_matchers_and_quantum_simulator_are_in_scope(self, tmp_path, relpath):
+        source = FIXTURES / "det_unseeded_random_bad.py"
+        lines = source.read_text(encoding="utf-8").splitlines()
+        target = tmp_path / relpath
+        target.parent.mkdir(parents=True)
+        target.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+        report = lint_project(tmp_path, paths=[target])
+        assert {f.rule for f in report.findings} == {"det-unseeded-random"}
+
     def test_the_real_digest_modules_are_in_scope(self):
         for suffix in SCOPE_PATHS["determinism"]:
             assert suffix.startswith("repro/")

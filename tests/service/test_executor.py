@@ -1,11 +1,9 @@
-"""Unit tests for the execution backends.
+"""Unit tests for the serial executor and per-task seed derivation.
 
-The load-bearing property is the acceptance criterion of the service
-subsystem: every backend — serial and four-process parallel — produces
-byte-identical per-task outcomes for the same seed, because
-every task carries its own derived RNG seed and shares no state with its
-neighbours; backends differ only in the arrival order of
-:meth:`Executor.stream`.
+Every task carries its own derived RNG seed and shares no state with its
+neighbours, so a pair's outcome does not depend on the batch it runs in;
+the shard-union tests in ``test_pipeline.py`` and the fleet byte-identity
+tests check that end to end.
 """
 
 from __future__ import annotations
@@ -19,32 +17,11 @@ from repro.circuits.random import random_circuit
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import make_instance
-from repro.service import executor as executor_module
 from repro.service.executor import (
     PairTask,
-    ParallelExecutor,
     SerialExecutor,
-    TaskOutcome,
     derive_seed,
 )
-
-
-def _canonical(outcomes) -> bytes:
-    """Outcomes as canonical JSON bytes, sorted by task index.
-
-    ``duration_s`` is dropped: it is telemetry (``compare=False`` on the
-    dataclass), measured per process, and never part of the byte-identity
-    contract between serial and parallel execution.
-    """
-    payload = []
-    for outcome in outcomes:
-        data = dataclasses.asdict(outcome)
-        data.pop("duration_s", None)
-        payload.append(data)
-    return json.dumps(
-        sorted(payload, key=lambda outcome: outcome["index"]),
-        sort_keys=True,
-    ).encode("utf-8")
 
 
 @pytest.fixture
@@ -121,53 +98,3 @@ class TestSerialExecutor:
         bad = dataclasses.replace(tasks[0], equivalence="NOT-A-CLASS")
         with pytest.raises(ValueError, match="unknown equivalence label"):
             list(SerialExecutor().stream([bad], MatchingConfig()))
-
-
-class TestParallelExecutor:
-    def test_four_workers_byte_identical_to_serial(self, tasks):
-        config = MatchingConfig()
-        serial = SerialExecutor().stream(tasks, config)
-        parallel = ParallelExecutor(workers=4).stream(tasks, config)
-        assert _canonical(serial) == _canonical(parallel)
-
-    def test_chunked_stream_covers_every_task(self, tasks):
-        outcomes = list(
-            ParallelExecutor(workers=2, chunk_size=1).stream(
-                tasks, MatchingConfig()
-            )
-        )
-        assert sorted(outcome.index for outcome in outcomes) == list(
-            range(len(tasks))
-        )
-
-    def test_single_worker_falls_back_to_serial_path(self, tasks):
-        outcomes = list(
-            ParallelExecutor(workers=1).stream(tasks[:2], MatchingConfig())
-        )
-        assert len(outcomes) == 2
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunk_size=0)
-
-    def test_closing_the_stream_early_cancels_queued_chunks(
-        self, tasks, monkeypatch
-    ):
-        """A consumer that stops after one outcome must not wait for the
-        rest of the batch: the pool shuts down with its queue cancelled."""
-        shutdowns = []
-
-        class SpyPool(executor_module.ProcessPoolExecutor):
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                shutdowns.append(cancel_futures)
-                super().shutdown(wait=wait, cancel_futures=cancel_futures)
-
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", SpyPool)
-        stream = ParallelExecutor(workers=2, chunk_size=1).stream(
-            tasks, MatchingConfig()
-        )
-        next(stream)
-        stream.close()
-        assert shutdowns and shutdowns[0] is True

@@ -416,6 +416,15 @@ class TestRunStreaming:
         assert entries[0]["event"] == "RunStarted"
         assert entries[-1]["event"] == "RunCompleted"
 
+    def test_metrics_snapshot_carries_engine_series(self, corpus, tmp_path):
+        """The run's engines report into the snapshot --metrics writes."""
+        snapshot_path = tmp_path / "metrics.json"
+        assert main(
+            ["run", str(corpus), "--seed", "5", "--metrics", str(snapshot_path)]
+        ) == 0
+        series = json.loads(snapshot_path.read_text())["metrics"]
+        assert series["repro_engine_pairs_total"]["samples"]
+
     @pytest.fixture
     def quantum_corpus(self, tmp_path):
         # Swap-test classes, so the store depends on the run seed.
@@ -624,6 +633,17 @@ class TestDaemonCommands:
         assert stats["cache"]["hits"] >= 2
         assert stats["runs"]["completed"] == 2
 
+    def test_unseeded_submit_runs_with_its_printed_seed(
+        self, served, corpus, capsys
+    ):
+        capsys.readouterr()
+        assert main(["submit", str(corpus), "--wait", *served]) == 0
+        printed = capsys.readouterr().err.splitlines()[0]
+        assert main(["daemon", "status", "run-0001", *served]) == 0
+        seed = json.loads(capsys.readouterr().out)["run"]["seed"]
+        assert isinstance(seed, int)
+        assert printed == f"seed: {seed}"
+
     def test_served_daemon_reports_engine_metrics(self, served, corpus, capsys):
         assert main(["submit", str(corpus), "--seed", "5", "--wait", *served]) == 0
         capsys.readouterr()
@@ -711,6 +731,37 @@ class TestDaemonCommands:
         )
         assert code == 2
         assert "--resume requires --store" in capsys.readouterr().err
+
+    def test_submit_resume_requires_seed(self, corpus, tmp_path, capsys):
+        code = main(
+            ["submit", str(corpus), "--resume", "--store",
+             str(tmp_path / "run.jsonl"), "--socket", "/nonexistent.sock"]
+        )
+        assert code == 2
+        assert "--resume requires the --seed" in capsys.readouterr().err
+
+    def test_unseeded_fleet_run_dispatches_an_integer_seed(
+        self, corpus, tmp_path, monkeypatch, capsys
+    ):
+        from types import SimpleNamespace
+
+        from repro.fleet import FleetCoordinator
+
+        seeds = []
+
+        def spy_run(self, manifest, *, seed=None, output=None):
+            seeds.append(seed)
+            return SimpleNamespace(shards=[], failed=0, summary=lambda: "")
+
+        monkeypatch.setattr(FleetCoordinator, "run", spy_run)
+        capsys.readouterr()
+        code = main(
+            ["fleet", "run", str(corpus), "--peer", "127.0.0.1:1",
+             "--work-dir", str(tmp_path / "fleet")]
+        )
+        assert code == 0
+        assert len(seeds) == 1 and isinstance(seeds[0], int)
+        assert capsys.readouterr().err.splitlines()[0] == f"seed: {seeds[0]}"
 
 
 class TestCacheServerCommand:
