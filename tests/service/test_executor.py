@@ -24,6 +24,23 @@ from repro.service.executor import (
 )
 
 
+def _canonical(outcomes) -> bytes:
+    """Outcomes as canonical JSON bytes, sorted by task index.
+
+    ``duration_s`` is dropped: it is telemetry (``compare=False`` on the
+    dataclass), not part of an outcome's identity.
+    """
+    payload = []
+    for outcome in outcomes:
+        data = dataclasses.asdict(outcome)
+        data.pop("duration_s", None)
+        payload.append(data)
+    return json.dumps(
+        sorted(payload, key=lambda outcome: outcome["index"]),
+        sort_keys=True,
+    ).encode("utf-8")
+
+
 @pytest.fixture
 def tasks(rng):
     """A mixed batch: tractable classes plus one UNIQUE-SAT-hard failure."""
@@ -89,6 +106,20 @@ class TestSerialExecutor:
         assert pulled == [0]
         next(stream)
         assert pulled == [0, 1]
+
+    def test_outcomes_do_not_depend_on_the_batch(self, tasks):
+        """Each task alone, or the batch reversed, gives the same outcome
+        as the whole batch in order: what makes shard unions byte-identical."""
+        config = MatchingConfig()
+        batch = SerialExecutor().stream(tasks, config)
+        alone = [
+            outcome
+            for task in tasks
+            for outcome in SerialExecutor().stream([task], config)
+        ]
+        reversed_batch = SerialExecutor().stream(tasks[::-1], config)
+        assert _canonical(alone) == _canonical(batch)
+        assert _canonical(reversed_batch) == _canonical(alone)
 
     def test_results_are_plain_json(self, tasks):
         outcomes = SerialExecutor().stream(tasks[:2], MatchingConfig())

@@ -39,6 +39,17 @@ class TestParser:
         assert excinfo.value.code == 0
         assert "repro" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_workers_flag_is_rejected(self, command, tmp_path, capsys):
+        """Execution is serial; scale-out is `--shard` or `repro fleet`."""
+        args = [command, "--workers", "2"]
+        if command == "run":
+            args.insert(1, str(tmp_path))
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestInfo:
     def test_info_reports_metrics(self, circuit_files, capsys):
